@@ -106,7 +106,9 @@ def build_clock(
         "plausible": lambda: PlausibleClock(n, max(1, n // 3)),
     }
     if name not in table:
-        raise ValueError(f"unknown clock {name!r}")
+        raise ValueError(
+            f"unknown clock {name!r} (choose from {', '.join(table)})"
+        )
     return table[name]()
 
 
@@ -167,9 +169,12 @@ def _make_tracer(kind: str, **meta) -> RunTracer:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     graph = build_topology(args.topology, args.n, args.seed)
-    clocks: Dict[str, ClockAlgorithm] = {
-        name: build_clock(name, graph) for name in args.clocks
-    }
+    try:
+        clocks: Dict[str, ClockAlgorithm] = {
+            name: build_clock(name, graph) for name in args.clocks
+        }
+    except ValueError as exc:
+        return _error(str(exc))
     registry = MetricsRegistry()
     tracer = _make_tracer(
         "simulate",
@@ -276,7 +281,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     graph = execution.graph
     if graph is None:
         graph = generators.clique(execution.n_processes)
-    clocks = [build_clock(name, graph) for name in args.clocks]
+    try:
+        clocks = [build_clock(name, graph) for name in args.clocks]
+    except ValueError as exc:
+        return _error(str(exc))
     registry = MetricsRegistry()
     tracer = _make_tracer(
         "validate",

@@ -307,6 +307,27 @@ def dominance_rows(
             rows[idx] |= running
 
 
+def same_process_rows(
+    sources: Sequence[Tuple[Any, int]],
+    targets: Sequence[Tuple[Any, int]],
+    rows: List[int],
+) -> None:
+    """Rewrite the bits of *sources* in the rows of *targets* to key order.
+
+    For schemes that order two events of one process by a local counter:
+    after the call, bit ``i`` of ``rows[j]`` (``(k_i, i)`` in *sources*,
+    ``(k_j, j)`` in *targets*) is set iff ``k_i < k_j``, whatever the
+    cross-process sweeps put there.  Equal keys stay unordered, as the
+    pairwise ``ctr < ctr`` comparison leaves them.
+    """
+    group = 0
+    for _key, i in sources:
+        group |= 1 << i
+    for _key, j in targets:
+        rows[j] &= ~group
+    dominance_rows(sources, targets, rows, strict=True)
+
+
 def total_order_rows(keys: Sequence[Any]) -> List[int]:
     """Precedes rows for a scheme whose comparison is ``key_i < key_j``.
 

@@ -43,6 +43,7 @@ from repro.clocks.base import (
     ControlMessage,
     Timestamp,
     dominance_rows,
+    same_process_rows,
     vector_leq,
     vector_lt,
 )
@@ -137,18 +138,18 @@ class CoverTimestamp(Timestamp):
             src = [(timestamps[i].mpost[c], i) for i in non_idx]
             dst = [(t.mpre[c], j) for j, t in enumerate(timestamps)]
             dominance_rows(src, dst, rows)
-        # same-process non-cover pairs use mctr order
-        by_proc: Dict[ProcessId, List[int]] = {}
+        # a non-cover source uses mctr order against every event with its id
+        sources: Dict[ProcessId, List[Tuple[int, int]]] = {}
         for i in non_idx:
-            by_proc.setdefault(timestamps[i].id, []).append(i)
-        for idxs in by_proc.values():
-            group = 0
-            for i in idxs:
-                group |= 1 << i
-            prefix = 0
-            for i in sorted(idxs, key=lambda i: timestamps[i].mctr):
-                rows[i] = (rows[i] & ~group) | prefix
-                prefix |= 1 << i
+            sources.setdefault(timestamps[i].id, []).append(
+                (timestamps[i].mctr, i)
+            )
+        targets: Dict[ProcessId, List[Tuple[int, int]]] = {}
+        for j, t in enumerate(timestamps):
+            if t.id in sources:
+                targets.setdefault(t.id, []).append((t.mctr, j))
+        for pid, keyed in sources.items():
+            same_process_rows(keyed, targets[pid], rows)
         return rows
 
     def elements(self) -> Tuple[PostValue, ...]:

@@ -44,6 +44,7 @@ from repro.clocks.base import (
     ControlMessage,
     Timestamp,
     dominance_rows,
+    same_process_rows,
 )
 from repro.core.events import Event, EventId, ProcessId
 
@@ -151,18 +152,12 @@ class StarTimestamp(Timestamp):
         dominance_rows(c_src, r_dst, rows)               # centre → radial
         dominance_rows(r_src, all_dst, rows)             # radial → other proc
         # same-process radial pairs use ctr order, not post <= pre
-        by_proc: Dict[ProcessId, List[int]] = {}
+        by_proc: Dict[ProcessId, List[Tuple[int, int]]] = {}
         for i, t in enumerate(timestamps):
             if not t.at_center:
-                by_proc.setdefault(t.id, []).append(i)
-        for idxs in by_proc.values():
-            group = 0
-            for i in idxs:
-                group |= 1 << i
-            prefix = 0
-            for i in sorted(idxs, key=lambda i: timestamps[i].ctr):
-                rows[i] = (rows[i] & ~group) | prefix
-                prefix |= 1 << i
+                by_proc.setdefault(t.id, []).append((t.ctr, i))
+        for keyed in by_proc.values():
+            same_process_rows(keyed, keyed, rows)
         return rows
 
     def elements(self) -> Tuple[PostValue, ...]:

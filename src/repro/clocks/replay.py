@@ -185,25 +185,43 @@ class TimestampAssignment:
         oracle: Optional[AnyOracle] = None,
         events: Optional[Sequence[EventId]] = None,
     ) -> ValidationReport:
-        """Exhaustively compare timestamp order with true happened-before.
+        """Compare timestamp order with true happened-before on all pairs.
 
         *events* restricts the check to a subset (e.g. a finalized cut);
         defaults to every event in the execution.  Either oracle flavor is
         accepted — an incremental oracle is frozen, not rebuilt.
 
-        The comparison is matrix-based: the scheme's full precedes-matrix
+        For a full-execution check on the numpy oracle, whose
+        :meth:`~repro.core.happened_before.HappenedBeforeOracle.past_cuts`
+        hold every event's causal past, vector, star and cover timestamps
+        are first checked by :func:`repro.clocks.frontier.frontier_check`:
+        a per-process monotonicity certificate plus two frontier pairs per
+        (event, process), O(m·n) comparisons that prove the scheme order
+        equals happened-before.  The report is then the one the exhaustive
+        check would give (no mismatches, ``n_ordered_pairs`` = the sum of
+        all cuts), and no m×m matrix is built.
+
+        Otherwise — an *events* subset, the pure backend, another timestamp
+        class, or a failed certificate or frontier pair — the comparison is
+        exhaustive and matrix-based: the scheme's full precedes-matrix
         (one packed-int row per event, built word-parallel when the scheme
         provides :meth:`~repro.clocks.base.Timestamp.precedes_matrix`) is
         XORed against the oracle's causal-past masks, so only mismatching
-        pairs are ever materialized.  The report is identical — field for
-        field, including mismatch ordering — to the pairwise reference
-        implementation :meth:`validate_pairwise`.
+        pairs are ever materialized.  Every path gives the report of the
+        pairwise reference implementation :meth:`validate_pairwise`, field
+        for field, including mismatch ordering.
 
         When the oracle holds its rows on the numpy backend and the scheme
         provides :meth:`~repro.clocks.base.Timestamp.precedes_matrix_words`,
         the whole XOR/popcount/decode happens on uint64 matrices without
-        ever materializing packed ints — same report, same ``validate.*``
-        counters (the backend-differential fuzzer invariant pins it).
+        ever materializing packed ints — same report (the
+        backend-differential fuzzer invariant pins it).
+
+        Counters: ``validate.runs`` per call, ``validate.frontier_runs``
+        when the frontier proof decided, ``validate.fallbacks{reason}``
+        otherwise (reason ``subset``, ``backend``, ``scheme``,
+        ``certificate`` or ``frontier``), and ``validate.cells`` for the
+        pairs actually compared on whichever paths ran.
         """
         if oracle is None:
             oracle = HappenedBeforeOracle(self._execution)
@@ -216,6 +234,32 @@ class TimestampAssignment:
         )
         m = len(ids)
         ts_list = [self._ts[eid] for eid in ids]
+        reg = active_registry()
+        reg.counter("validate.runs").inc()
+        cuts = oracle.past_cuts() if events is None else None
+        if events is not None:
+            reason = "subset"
+        elif cuts is None:
+            reason = "backend"
+        else:
+            from repro.clocks.frontier import frontier_check
+
+            reason, cells = frontier_check(
+                cuts, self._execution.event_counts(), ts_list
+            )
+            reg.counter("validate.cells").inc(cells)
+            if reason is None:
+                reg.counter("validate.frontier_runs").inc()
+                n_ordered = int(cuts.sum(dtype="int64"))
+                return ValidationReport(
+                    algorithm=self._algorithm.name,
+                    n_events=m,
+                    n_ordered_pairs=n_ordered,
+                    n_concurrent_pairs=m * (m - 1) // 2 - n_ordered,
+                    false_negatives=(),
+                    false_positives=(),
+                )
+        reg.counter("validate.fallbacks", reason=reason).inc()
         if events is None and m:
             # full-execution check: ids follow the oracle's dense indexing,
             # so the array matrices line up row-for-row
@@ -263,12 +307,10 @@ class TimestampAssignment:
         pos_keyed.sort(key=lambda kv: kv[0])
         # observability: how much work the matrix validator did — compared
         # cells (the full m×m grid) and mismatch bits it had to decode
-        reg = active_registry()
         reg.counter("validate.cells").inc(m * m)
         reg.counter("validate.mismatch_decodes").inc(
             len(neg_keyed) + len(pos_keyed)
         )
-        reg.counter("validate.runs").inc()
         return ValidationReport(
             algorithm=self._algorithm.name,
             n_events=m,
@@ -339,7 +381,6 @@ class TimestampAssignment:
         reg.counter("validate.mismatch_decodes").inc(
             len(neg_keyed) + len(pos_keyed)
         )
-        reg.counter("validate.runs").inc()
         return ValidationReport(
             algorithm=self._algorithm.name,
             n_events=m,

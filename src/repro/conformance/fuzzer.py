@@ -2,7 +2,7 @@
 
 One randomized execution at a time, :func:`check_execution` replays every
 legally applicable scheme from :mod:`repro.conformance.registry` and both
-causality-oracle flavors, then cross-checks four invariants:
+causality-oracle flavors, then cross-checks seven invariants:
 
 1. **exact-vs-hb** — for every scheme claiming
    ``characterizes_causality``, ``precedes`` must agree with ground-truth
@@ -35,6 +35,16 @@ causality-oracle flavors, then cross-checks four invariants:
    batched append path of :class:`IncrementalHBOracle` (pure engine
    always, numpy engine when available) must answer and ``freeze()``
    identically to the per-op path with queries interleaved mid-stream.
+7. **frontier-vs-exhaustive** — for every scheme,
+   :meth:`TimestampAssignment.validate` against a numpy-backend oracle
+   (where the frontier certificate of :mod:`repro.clocks.frontier` may
+   decide for the exact schemes) must return the :meth:`validate_pairwise`
+   report field for field, both on the replayed assignment and on a copy
+   with one timestamp field corrupted
+   (:func:`repro.conformance.mutate.corrupt_one`, seeded from the op
+   list), so a certificate that accepted a wrong assignment, or a matrix
+   path that decoded a wrong mismatch list, would show as a mismatch.
+   Skipped when numpy is unavailable or ``backend="pure"`` pins the run.
 
 Failures come back as :class:`Mismatch` records carrying the generating op
 list, ready for the shrinker and the JSONL report.  :func:`fuzz` drives
@@ -53,6 +63,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.bench import cell_seed
 from repro.clocks.replay import replay_one
 from repro.clocks.vector import VectorClock
+from repro.conformance.mutate import corrupt_one
 from repro.conformance.registry import (
     SchemeSpec,
     schemes_for,
@@ -81,6 +92,7 @@ INVARIANTS = (
     "one-sided",
     "backend-differential",
     "store-differential",
+    "frontier-vs-exhaustive",
 )
 
 #: check_execution backend modes: "auto"/"old-vs-new" run the
@@ -187,8 +199,15 @@ def mismatch_from_record(record: Mapping[str, Any]) -> Mismatch:
 # ----------------------------------------------------------------------
 # invariants 1 + 4: scheme vs ground truth, matrix vs pairwise
 # ----------------------------------------------------------------------
+def mutation_rng(ops: Sequence[Op], scheme: str) -> random.Random:
+    """The corruption RNG of the frontier invariant: a function of the op
+    list and scheme, so replays and shrink probes corrupt reproducibly."""
+    return random.Random(f"frontier-mutation:{scheme}:{len(ops)}")
+
+
 def _check_schemes(
-    graph, ops, execution, oracle, specs, center, fifo, context, report
+    graph, ops, execution, oracle, specs, center, fifo, context, report,
+    fast=None,
 ):
     out: List[Mismatch] = []
     for spec in specs:
@@ -214,6 +233,11 @@ def _check_schemes(
                 f"fp={len(rep_p.false_positives)}",
                 graph, ops, fifo, context,
             ))
+        if fast is not None:
+            out += _check_frontier(
+                spec, asg, rep_p, oracle, fast, graph, ops, fifo, context,
+                report,
+            )
         if spec.exact:
             report.count("exact-vs-hb")
             if not rep_p.characterizes:
@@ -233,6 +257,32 @@ def _check_schemes(
                     f"missed causal pairs: {rep_p.false_negatives[:3]}",
                     graph, ops, fifo, context,
                 ))
+    return out
+
+
+def _check_frontier(
+    spec, asg, rep_p, oracle, fast, graph, ops, fifo, context, report
+):
+    """Invariant 7 for one scheme: clean and corrupted assignment."""
+    out: List[Mismatch] = []
+    report.count("frontier-vs-exhaustive")
+    bad, what = corrupt_one(asg, mutation_rng(ops, spec.name))
+    for label, a, ref in (
+        ("clean", asg, rep_p),
+        (f"corrupted {what}", bad, bad.validate_pairwise(oracle)),
+    ):
+        got = a.validate(fast)
+        if got != ref:
+            out.append(_mk(
+                "frontier-vs-exhaustive", spec.name,
+                f"{label}: validate() ordered={got.n_ordered_pairs} "
+                f"fn={len(got.false_negatives)} "
+                f"fp={len(got.false_positives)} vs validate_pairwise() "
+                f"ordered={ref.n_ordered_pairs} "
+                f"fn={len(ref.false_negatives)} "
+                f"fp={len(ref.false_positives)}",
+                graph, ops, fifo, context,
+            ))
     return out
 
 
@@ -582,8 +632,11 @@ def check_execution(
     *backend* is one of :data:`BACKEND_MODES`: ``pure``/``numpy`` pin the
     kernel for every oracle built during the check; ``auto`` and
     ``old-vs-new`` additionally run the backend-differential invariant
-    whenever numpy is importable.
+    whenever numpy is importable.  Every mode but ``pure`` runs the
+    frontier-vs-exhaustive invariant when numpy is importable.
     """
+    from repro.core.backend import numpy_available
+
     if backend not in BACKEND_MODES:
         raise ValueError(
             f"backend must be one of {BACKEND_MODES}, got {backend!r}"
@@ -598,10 +651,18 @@ def check_execution(
     ctx = use_backend(pin) if pin is not None else nullcontext()
     with ctx:
         oracle = HappenedBeforeOracle(execution)
+        # the frontier path needs the numpy oracle's cuts
+        fast = None
+        if backend != "pure" and numpy_available():
+            fast = (
+                oracle
+                if oracle.backend == "numpy"
+                else HappenedBeforeOracle(execution, backend="numpy")
+            )
         mismatches: List[Mismatch] = []
         mismatches += _check_schemes(
             graph, ops, execution, oracle, specs, center, fifo, context,
-            report,
+            report, fast,
         )
         mismatches += _check_oracles(
             graph, ops, execution, oracle, fifo, context, report

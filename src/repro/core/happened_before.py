@@ -32,13 +32,21 @@ cross-check the bitset kernel against the vector-clock definition::
 
     e -> f   iff   vc_e[e.proc] <= vc_f[e.proc]
 
-The row store has two interchangeable backends (see
-:mod:`repro.core.backend`): ``pure`` keeps the packed Python ints described
-above; ``numpy`` keeps the same matrix as a contiguous ``uint64`` array
-built by bulk row ops (:mod:`repro.core.npkernel`) and answers
-``relation_counts`` / :func:`downward_closure` with whole-matrix
-vectorized popcounts and ORs.  Both produce byte-identical rows; the pure
-backend is the always-available reference.
+The oracle has two interchangeable backends (see
+:mod:`repro.core.backend`).  ``pure`` keeps the packed Python ints
+described above.  ``numpy`` keeps no per-event rows at all: the causal
+past of any event is a per-process prefix cut (Fidge/Mattern), and a
+process's cut changes only at its receives, so one n-wide int32 row per
+*receive* plus each event's anchor (its latest receive at or before it)
+holds the whole relation in O(R·n) memory (:mod:`repro.core.npkernel`).
+``happened_before`` is then one lookup,
+``e -> f  iff  cut[anchor(f)][e.proc] >= e.index`` (e, f on different
+processes), and :meth:`HappenedBeforeOracle.relation_counts` is the sum of
+all cuts.  The m×m bit matrix of the pure backend is a derived view there,
+built on the first :meth:`~HappenedBeforeOracle.past_matrix` /
+:meth:`~HappenedBeforeOracle.past_masks` / mask query and kept.  Both
+backends give identical answers; the pure backend is the always-available
+reference.
 """
 
 from __future__ import annotations
@@ -52,7 +60,12 @@ from repro.obs.metrics import active_registry
 
 
 class HappenedBeforeOracle:
-    """O(1) happened-before queries over a fixed execution."""
+    """O(1) happened-before queries over a fixed execution: point queries
+    (``happened_before``, ``concurrent``, ``vector_clock``), totals
+    (``relation_counts``), every event's causal past as a per-process cut
+    (``past_cuts()``, numpy backend), and the m×m bit view
+    (``past_masks()`` / ``past_matrix()``, built on first use on numpy).
+    """
 
     def __init__(
         self, execution: Execution, backend: Optional[str] = None
@@ -71,14 +84,21 @@ class HappenedBeforeOracle:
         self._future: Optional[List[int]] = None
         #: which kernel holds the rows ("pure" or "numpy")
         self.backend: str = resolve_backend(len(self._order), backend)
-        #: numpy (m, ceil(m/64)) uint64 past matrix (numpy backend only)
+        #: numpy (m, ceil(m/64)) uint64 past matrix, built lazily on the
+        #: numpy backend by :meth:`past_matrix` (never on the pure one)
         self._mat: Optional[Any] = None
+        #: numpy backend: receive cuts (row 0 = zero cut) and the anchor
+        #: row of every dense index, see :meth:`past_cuts`
+        self._cuts: Optional[Any] = None
+        self._anchor: Optional[Any] = None
         if self.backend == "numpy":
             from repro.core import npkernel
 
-            self._mat = npkernel.bulk_past_matrix(execution)
-            # packed-int rows and vector clocks materialize lazily from
-            # the matrix, only for consumers that ask for them
+            dag = npkernel.ReceiveDag(execution)
+            self._cuts = npkernel.receive_cuts(dag)
+            self._anchor = dag.aid
+            # packed-int rows and vector clocks materialize lazily, only
+            # for consumers that ask for them
             self._past: Optional[List[int]] = None
             self._vc: Optional[Dict[EventId, Tuple[int, ...]]] = None
         else:
@@ -118,6 +138,8 @@ class HappenedBeforeOracle:
         self._future = None
         self.backend = "pure"
         self._mat = None
+        self._cuts = None
+        self._anchor = None
         active_registry().gauge("oracle.backend", backend=self.backend).set(1)
         return self
 
@@ -193,23 +215,8 @@ class HappenedBeforeOracle:
         if self._past is None:
             from repro.core import npkernel
 
-            self._past = npkernel.matrix_to_rows(self._mat)
+            self._past = npkernel.matrix_to_rows(self.past_matrix())
         return self._past
-
-    def _ensure_vc(self) -> Dict[EventId, Tuple[int, ...]]:
-        """Vector clocks, materialized once from the matrix if needed."""
-        if self._vc is None:
-            from repro.core import npkernel
-
-            ex = self._execution
-            counts = [
-                len(ex.events_at(p)) for p in range(ex.n_processes)
-            ]
-            clocks = npkernel.vector_clocks_from_matrix(self._mat, counts)
-            self._vc = {
-                eid: tuple(clocks[i]) for i, eid in enumerate(self._order)
-            }
-        return self._vc
 
     # ------------------------------------------------------------------
     # bitset kernel surface
@@ -239,8 +246,41 @@ class HappenedBeforeOracle:
     def past_matrix(self) -> Optional[Any]:
         """The numpy ``(m, ceil(m/64))`` uint64 past matrix, or ``None``
         on the pure backend.  Rows little-endian-match :meth:`past_masks`;
-        callers must treat it as read-only."""
+        callers must treat it as read-only.
+
+        The matrix is a derived view: the numpy backend answers point
+        queries, vector clocks and relation counts from its cuts, and
+        builds these O(m²) bits only on the first call here (counted by
+        ``oracle.dense_builds``).
+        """
+        if self._mat is None and self._cuts is not None:
+            from repro.core import npkernel
+
+            self._mat = npkernel.bulk_past_matrix(self._execution)
+            active_registry().counter("oracle.dense_builds").inc()
         return self._mat
+
+    def past_cuts(self) -> Optional[Any]:
+        """Every event's strict causal past as a cut, or ``None`` on the
+        pure backend.
+
+        An ``(m, n)`` int32 array in :attr:`event_order`: entry ``[j, p]``
+        is the number of events of process ``p`` with ``e -> event_order[j]``
+        — always a prefix of ``p`` (Fidge/Mattern), so the row is the whole
+        past.  Built per call from one n-wide row per receive.
+        """
+        if self._cuts is None:
+            return None
+        import numpy as np
+
+        bases = np.asarray(self._proc_base, dtype=np.int64)
+        counts = np.diff(bases, append=len(self._order))
+        procs = np.repeat(np.arange(len(bases)), counts)
+        rows = np.arange(len(procs))
+        cuts = self._cuts[self._anchor]
+        # own coordinate: the strict past holds index - 1 own events
+        cuts[rows, procs] = rows - bases[procs]
+        return cuts
 
     def events_from_mask(self, mask: int) -> List[EventId]:
         """Decode a bitmask into the events it denotes, in dense order."""
@@ -272,13 +312,20 @@ class HappenedBeforeOracle:
     # ------------------------------------------------------------------
     def vector_clock(self, eid: EventId) -> Tuple[int, ...]:
         """The ground-truth full-length vector clock of *eid*."""
-        return self._ensure_vc()[eid]
+        if self._vc is not None:
+            return self._vc[eid]
+        clock = self._cuts[self._anchor[self._pos[eid]]].tolist()
+        clock[eid.proc] = eid.index
+        return tuple(clock)
 
     def _bit(self, pe: int, pf: int) -> bool:
-        """Bit *pe* of row *pf*, without materializing packed-int rows."""
+        """Whether ``event_order[pe] -> event_order[pf]``."""
         if self._past is not None:
             return bool(self._past[pf] >> pe & 1)
-        return bool(int(self._mat[pf, pe >> 6]) >> (pe & 63) & 1)
+        e, f = self._order[pe], self._order[pf]
+        if e.proc == f.proc:
+            return e.index < f.index
+        return bool(self._cuts[self._anchor[pf], e.proc] >= e.index)
 
     def happened_before(self, e: EventId, f: EventId) -> bool:
         """Whether ``e -> f`` (strict: ``e != f`` and e causally precedes f)."""
@@ -315,14 +362,13 @@ class HappenedBeforeOracle:
 
         ``ordered_pairs`` counts ordered pairs ``(e, f)`` with ``e -> f``;
         ``concurrent_unordered_pairs`` counts unordered concurrent pairs.
-        Happened-before is antisymmetric, so the former is just the popcount
-        of the causal-past matrix, and the latter is the complement among
-        all unordered pairs.
+        Happened-before is antisymmetric, so the former is just the sum of
+        all cuts (numpy) or the popcount of the causal-past rows (pure), and
+        the latter is the complement among all unordered pairs.
         """
-        if self._mat is not None:
-            from repro.core import npkernel
-
-            ordered = npkernel.ordered_pair_count(self._mat)
+        cuts = self.past_cuts()
+        if cuts is not None:
+            ordered = int(cuts.sum(dtype="int64"))
         else:
             ordered = sum(mask.bit_count() for mask in self._past)
         m = len(self._order)

@@ -1,4 +1,4 @@
-"""Array-native causality kernel: numpy backend for the bitset rows.
+"""Array-native causality kernel: receive cuts and the bitset-row view.
 
 The pure kernel (:mod:`repro.core.happened_before`) stores each event's
 strict causal past as one packed Python int.  This module stores the same
@@ -15,13 +15,20 @@ receives merge information across processes, so each row decomposes as::
     row(p, i) = A[anchor(p, i)] | own-prefix bits [base_p, base_p + i - 1)
 
 where ``anchor(p, i)`` is the latest receive at ``p`` with local index
-``< i`` (or the zero row).  Each receive's anchor row depends on at most
+``<= i`` (or the zero row).  Each receive's anchor row depends on at most
 two earlier receives (its process predecessor and its send's anchor), so
-the anchors form a DAG processed in topological order with two bulk
-``OR``s per receive; every non-anchor row is then a single gather plus a
-scatter of contiguous own-prefix intervals.  Net cost: O(receives) numpy
-row ops instead of O(events) Python big-int ops — the "bulk row path" the
-PR-7 benchmark gates at ≥2M appends/s.
+the anchors form a DAG (:class:`ReceiveDag`) processed in topological
+order with two bulk ``OR``s per receive; every non-anchor row is then a
+single gather plus a scatter of contiguous own-prefix intervals.  Net
+cost: O(receives) numpy row ops instead of O(events) Python big-int ops —
+the "bulk row path" the PR-7 benchmark gates at ≥2M appends/s.
+
+The same DAG gives the compact form the numpy oracle actually keeps
+(:func:`receive_cuts`): the causal past of every event is a per-process
+prefix, so one n-wide int32 row of prefix lengths per *receive* — its
+Fidge/Mattern vector clock — plus the anchor of every event describes
+the whole relation in O(receives · n) memory instead of O(m²) bits.  The
+bit matrix is built from it only on demand.
 
 Intentionally import-guarded: import this module only after
 :func:`repro.core.backend.numpy_available` returns True.
@@ -84,49 +91,51 @@ def scatter_or_intervals(
     target[rows_f, col] |= vals
 
 
-def bulk_past_matrix(execution) -> np.ndarray:
-    """The strict causal-past matrix of *execution*, built by bulk row ops.
+class ReceiveDag:
+    """The receive-anchor decomposition of an execution.
 
-    Byte-identical to the pure kernel's ``past_masks()`` rows under the
-    same process-major dense indexing.  Raises ``RuntimeError`` if the
-    receive dependencies contain a cycle (a causally inconsistent
-    execution, which a well-formed :class:`~repro.core.execution.Execution`
-    cannot produce).
+    Only receives merge information across processes, so every event's
+    causal past is fixed by its *anchor*: the latest receive at its own
+    process with a local index ``<=`` its own (or none).  Receive ``k``
+    (1-based anchor id; 0 means "no receive") depends on at most two
+    earlier receives — its process predecessor ``paid[k-1]`` and the
+    anchor of its send ``said[k-1]`` — and :attr:`order` lists the
+    receives so that both come first.
     """
-    nproc = execution.n_processes
-    # event_counts/receive_pairs avoid touching event or message objects —
-    # on the columnar store they read straight from the id columns
-    # (getattr fallback keeps duck-typed execution stand-ins working)
-    counts_fn = getattr(execution, "event_counts", None)
-    if counts_fn is not None:
-        counts = np.asarray(counts_fn(), dtype=np.int64)
-    else:
-        counts = np.array(
-            [len(execution.events_at(p)) for p in range(nproc)],
-            dtype=np.int64,
-        )
-    m = int(counts.sum())
-    W = max(1, (m + 63) >> 6)
-    bases = np.zeros(nproc, dtype=np.int64)
-    if nproc > 1:
-        np.cumsum(counts[:-1], out=bases[1:])
-    if m == 0:
-        return np.zeros((0, W), dtype=np.uint64)
 
-    pairs_fn = getattr(execution, "receive_pairs", None)
-    if pairs_fn is not None:
-        recvs = pairs_fn()
-    else:
-        recvs = [
-            (msg.recv_event, msg.send_event)
-            for msg in execution.messages
-            if msg.recv_event is not None
-        ]
-    n_recv = len(recvs)
-    # anchor rows, 1-based; row 0 stays zero (= "no receive before me")
-    anchors = np.zeros((n_recv + 1, W), dtype=np.uint64)
+    __slots__ = (
+        "counts", "bases", "m", "p", "i", "sp", "si", "paid", "said",
+        "order", "aid",
+    )
 
-    if n_recv:
+    def __init__(self, execution) -> None:
+        nproc = execution.n_processes
+        # event_counts/receive_pairs avoid touching event or message
+        # objects — on the columnar store they read straight from the id
+        # columns (getattr fallback keeps duck-typed stand-ins working)
+        counts_fn = getattr(execution, "event_counts", None)
+        if counts_fn is not None:
+            counts = np.asarray(counts_fn(), dtype=np.int64)
+        else:
+            counts = np.array(
+                [len(execution.events_at(p)) for p in range(nproc)],
+                dtype=np.int64,
+            )
+        self.counts = counts
+        self.m = m = int(counts.sum())
+        self.bases = bases = np.zeros(nproc, dtype=np.int64)
+        if nproc > 1:
+            np.cumsum(counts[:-1], out=bases[1:])
+        pairs_fn = getattr(execution, "receive_pairs", None)
+        if pairs_fn is not None:
+            recvs = pairs_fn()
+        else:
+            recvs = [
+                (msg.recv_event, msg.send_event)
+                for msg in execution.messages
+                if msg.recv_event is not None
+            ]
+        n_recv = len(recvs)
         # per-process receive positions, sorted by local index, with the
         # anchor id (k+1) of each — the bisect lookups below require order
         by_proc: List[List[Tuple[int, int]]] = [[] for _ in range(nproc)]
@@ -138,19 +147,17 @@ def bulk_past_matrix(execution) -> np.ndarray:
             pairs.sort()
             ridx[p] = [i for i, _ in pairs]
             rk[p] = [k1 for _, k1 in pairs]
-        # each receive depends on <= 2 earlier receives: its process
-        # predecessor (paid) and the last receive before its send (said)
         paid = [0] * n_recv
         said = [0] * n_recv
         indeg = [0] * n_recv
         children: List[List[int]] = [[] for _ in range(n_recv)]
-        p_arr = np.empty(n_recv, dtype=np.int64)
-        i_arr = np.empty(n_recv, dtype=np.int64)
-        sp_arr = np.empty(n_recv, dtype=np.int64)
-        si_arr = np.empty(n_recv, dtype=np.int64)
+        p_l = [0] * n_recv
+        i_l = [0] * n_recv
+        sp_l = [0] * n_recv
+        si_l = [0] * n_recv
         for k, (re, se) in enumerate(recvs):
             p, i, sp, si = re.proc, re.index, se.proc, se.index
-            p_arr[k], i_arr[k], sp_arr[k], si_arr[k] = p, i, sp, si
+            p_l[k], i_l[k], sp_l[k], si_l[k] = p, i, sp, si
             j = bisect_left(ridx[p], i)
             if j:
                 paid[k] = rk[p][j - 1]
@@ -162,33 +169,21 @@ def bulk_past_matrix(execution) -> np.ndarray:
                 if said[k] != paid[k]:
                     indeg[k] += 1
                     children[rk[sp][j - 1] - 1].append(k)
-        # seed every anchor with its fixed contribution:
-        # own prefix [ob, ob+i-1) | send prefix [sb, sb+si-1) | send bit
-        ob = bases[p_arr]
-        sb = bases[sp_arr]
-        ar1 = np.arange(1, n_recv + 1)
-        scatter_or_intervals(anchors, ar1, ob, ob + i_arr - 1)
-        scatter_or_intervals(anchors, ar1, sb, sb + si_arr - 1)
-        sd = sb + si_arr - 1
-        anchors[ar1, sd >> 6] |= U64(1) << (sd & 63).astype(np.uint64)
-        # chain the anchors in dependency order: two bulk ORs per receive
         queue = deque(k for k in range(n_recv) if indeg[k] == 0)
-        done = 0
+        order: List[int] = []
         while queue:
             k = queue.popleft()
-            done += 1
-            out = anchors[k + 1]
-            out |= anchors[paid[k]]
-            out |= anchors[said[k]]
+            order.append(k)
             for c in children[k]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     queue.append(c)
-        if done != n_recv:
+        if len(order) != n_recv:
             raise RuntimeError("execution is not causally consistent")
-
+        self.p, self.i, self.sp, self.si = p_l, i_l, sp_l, si_l
+        self.paid, self.said, self.order = paid, said, order
         # anchor id per dense position: the latest receive at the same
-        # process with a strictly smaller local index (vectorized lookup)
+        # process with local index <= the event's (vectorized lookup)
         recv_dense: List[int] = []
         recv_aid: List[int] = []
         basel = bases.tolist()
@@ -197,21 +192,86 @@ def bulk_past_matrix(execution) -> np.ndarray:
             for i, k1 in zip(ridx[p], rk[p]):
                 recv_dense.append(b + i - 1)
                 recv_aid.append(k1)
-        dense_arr = np.array(recv_dense, dtype=np.int64)
-        aid_arr = np.array(recv_aid, dtype=np.int64)
-        g = np.searchsorted(dense_arr, np.arange(m), side="right")
-        base_g = np.repeat(
-            np.searchsorted(dense_arr, bases, side="left"), counts
-        )
-        aid = np.where(g - base_g > 0, aid_arr[np.clip(g - 1, 0, None)], 0)
-        rows = anchors[aid]
-    else:
-        rows = np.zeros((m, W), dtype=np.uint64)
+        if recv_dense and m:
+            dense_arr = np.array(recv_dense, dtype=np.int64)
+            aid_arr = np.array(recv_aid, dtype=np.int64)
+            g = np.searchsorted(dense_arr, np.arange(m), side="right")
+            base_g = np.repeat(
+                np.searchsorted(dense_arr, bases, side="left"), counts
+            )
+            self.aid = np.where(
+                g - base_g > 0, aid_arr[np.clip(g - 1, 0, None)], 0
+            )
+        else:
+            self.aid = np.zeros(m, dtype=np.int64)
 
+
+def bulk_past_matrix(execution) -> np.ndarray:
+    """The strict causal-past matrix of *execution*, built by bulk row ops.
+
+    Byte-identical to the pure kernel's ``past_masks()`` rows under the
+    same process-major dense indexing.  Raises ``RuntimeError`` if the
+    receive dependencies contain a cycle (a causally inconsistent
+    execution, which a well-formed :class:`~repro.core.execution.Execution`
+    cannot produce).
+    """
+    dag = ReceiveDag(execution)
+    m, bases, counts = dag.m, dag.bases, dag.counts
+    W = max(1, (m + 63) >> 6)
+    if m == 0:
+        return np.zeros((0, W), dtype=np.uint64)
+    n_recv = len(dag.order)
+    # anchor rows, 1-based; row 0 stays zero (= "no receive before me")
+    anchors = np.zeros((n_recv + 1, W), dtype=np.uint64)
+    if n_recv:
+        # seed every anchor with its fixed contribution:
+        # own prefix [ob, ob+i-1) | send prefix [sb, sb+si-1) | send bit
+        i_arr = np.array(dag.i, dtype=np.int64)
+        si_arr = np.array(dag.si, dtype=np.int64)
+        ob = bases[np.array(dag.p, dtype=np.int64)]
+        sb = bases[np.array(dag.sp, dtype=np.int64)]
+        ar1 = np.arange(1, n_recv + 1)
+        scatter_or_intervals(anchors, ar1, ob, ob + i_arr - 1)
+        scatter_or_intervals(anchors, ar1, sb, sb + si_arr - 1)
+        sd = sb + si_arr - 1
+        anchors[ar1, sd >> 6] |= U64(1) << (sd & 63).astype(np.uint64)
+        # chain the anchors in dependency order: two bulk ORs per receive
+        paid, said = dag.paid, dag.said
+        for k in dag.order:
+            out = anchors[k + 1]
+            out |= anchors[paid[k]]
+            out |= anchors[said[k]]
+    rows = anchors[dag.aid]
     # triangular own-prefix fill: bits [bases[p], d) for the event at d
     d = np.arange(m, dtype=np.int64)
     scatter_or_intervals(rows, d, np.repeat(bases, counts), d)
     return rows
+
+
+def receive_cuts(dag: ReceiveDag) -> np.ndarray:
+    """Fidge/Mattern vector clock of every receive, one int32 row each.
+
+    Row ``k`` (anchor id ``k``) counts, per process ``q``, the events of
+    ``q`` in receive ``k``'s causal past, the receive itself included at
+    its own coordinate; row 0 is the zero cut.  A receive's clock is the
+    componentwise max of its process predecessor's and its send's, and a
+    send's clock is its own anchor's row with the send's index at the
+    sender's coordinate — so one ``maximum`` of two earlier rows plus two
+    scalar patches per receive, in :attr:`ReceiveDag.order`.
+    """
+    nproc = len(dag.counts)
+    cuts = np.zeros((len(dag.order) + 1, nproc), dtype=np.int32)
+    paid, said = dag.paid, dag.said
+    p_l, i_l, sp_l, si_l = dag.p, dag.i, dag.sp, dag.si
+    maximum = np.maximum
+    for k in dag.order:
+        row = cuts[k + 1]
+        maximum(cuts[paid[k]], cuts[said[k]], out=row)
+        sp = sp_l[k]
+        if row[sp] < si_l[k]:
+            row[sp] = si_l[k]
+        row[p_l[k]] = i_l[k]
+    return cuts
 
 
 # ----------------------------------------------------------------------
@@ -237,44 +297,6 @@ def union_rows_int(mat: np.ndarray, idx: Sequence[int]) -> int:
     """OR of the selected rows, as a packed Python int."""
     acc = np.bitwise_or.reduce(mat[np.asarray(idx, dtype=np.intp)], axis=0)
     return int.from_bytes(np.ascontiguousarray(acc).tobytes(), "little")
-
-
-def ordered_pair_count(mat: np.ndarray) -> int:
-    """Total popcount of the matrix = number of ordered (e, f) pairs."""
-    return int(np.bitwise_count(mat).sum(dtype=np.int64))
-
-
-def vector_clocks_from_matrix(
-    mat: np.ndarray, counts: Sequence[int]
-) -> List[List[int]]:
-    """Full-length vector clocks of every event, from the past matrix.
-
-    ``vc[e][p]`` counts the events of process ``p`` in the causal past of
-    ``e`` *including* ``e`` at its own coordinate — the Fidge/Mattern
-    definition.  Process-major indexing makes each process one contiguous
-    bit range, so the count is a masked popcount per block.  Returned as
-    nested Python-int lists (``tolist``), matching the pure kernel's
-    tuples element-for-element.
-    """
-    m = mat.shape[0]
-    nproc = len(counts)
-    cnt = np.zeros((m, nproc), dtype=np.int64)
-    base = 0
-    for p, c in enumerate(counts):
-        if c == 0:
-            continue
-        lo, hi = base, base + c
-        base = hi
-        w0, w1 = lo >> 6, (hi - 1) >> 6
-        sub = mat[:, w0 : w1 + 1].copy()
-        sub[:, 0] &= ~LOWC[lo & 63]
-        sub[:, -1] &= LOWC[((hi - 1) & 63) + 1]
-        cnt[:, p] = np.bitwise_count(sub).sum(axis=1, dtype=np.int64)
-    if m:
-        # own coordinate: strict past inside the own block is index-1
-        own = np.repeat(np.arange(nproc), np.asarray(counts, dtype=np.int64))
-        cnt[np.arange(m), own] += 1
-    return cnt.tolist()
 
 
 # ----------------------------------------------------------------------

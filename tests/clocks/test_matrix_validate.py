@@ -100,6 +100,32 @@ def test_precedes_matrix_agrees_with_pairwise_precedes(graph):
                 )
 
 
+def test_precedes_matrix_counter_ties_and_foreign_ids():
+    """Corrupted timestamps may repeat a local counter or carry another
+    process's id; the word-parallel matrix must still equal pairwise
+    ``precedes`` (equal counters stay unordered, and a non-cover source
+    uses ``mctr`` against every event with its id)."""
+    from repro.clocks import INFINITY
+    from repro.clocks.inline_cover import CoverTimestamp
+    from repro.clocks.inline_star import StarTimestamp
+
+    star = [
+        StarTimestamp(1, 2, 0, INFINITY, 0),
+        StarTimestamp(1, 2, 0, INFINITY, 0),
+        StarTimestamp(1, 3, 1, INFINITY, 0),
+    ]
+    cover = [
+        CoverTimestamp(1, 2, (0,), (INFINITY,), (0,)),
+        CoverTimestamp(1, 2, (0,), (INFINITY,), (0,)),
+        CoverTimestamp(1, 3, (1,), None, (0,)),
+    ]
+    for ts in (star, cover):
+        rows = precedes_matrix_rows(ts)
+        for j, f in enumerate(ts):
+            for i, e in enumerate(ts):
+                assert bool(rows[j] >> i & 1) == (i != j and e.precedes(f))
+
+
 def test_precedes_matrix_none_falls_back_to_pairwise():
     """A scheme without a fast path still validates via pairwise calls."""
     from repro.baselines.encoded import EncodedTimestamp

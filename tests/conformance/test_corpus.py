@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.backend import numpy_available
+
 from repro.conformance import (
     CASE_SCHEMA,
+    scheme_by_name,
     CorpusCase,
     Mismatch,
     case_from_mismatch,
@@ -49,6 +52,33 @@ def test_corpus_case_replays_clean(case):
 )
 def test_corpus_case_documents_itself(case):
     assert case.notes, f"{case.name} needs a notes field explaining the pin"
+
+
+@pytest.mark.skipif(not numpy_available(), reason="requires numpy >= 2.0")
+def test_corrupted_post_fails_the_certificate():
+    """The pinned corrupted ``post`` is caught by the certificate, not
+    accepted by the frontier pairs, and the fallback report is exact."""
+    from repro.clocks.replay import replay_one
+    from repro.conformance.fuzzer import mutation_rng
+    from repro.conformance.mutate import corrupt_one
+    from repro.core import HappenedBeforeOracle
+    from repro.core.random_executions import execution_from_ops
+    from repro.obs.metrics import MetricsRegistry, use_registry
+
+    case = load_case(CORPUS_DIR / "frontier-corrupted-post-certificate.json")
+    graph = case.graph()
+    ex = execution_from_ops(graph, case.ops)
+    asg = replay_one(ex, scheme_by_name("inline-star").build(graph, 0))
+    bad, what = corrupt_one(asg, mutation_rng(case.ops, "inline-star"))
+    assert what == "(1, 2).post inf -> 2"
+    oracle = HappenedBeforeOracle(ex, backend="numpy")
+    reg = MetricsRegistry()
+    with use_registry(reg):
+        report = bad.validate(oracle)
+    assert reg.counter_value("validate.fallbacks", reason="certificate") == 1
+    assert report == bad.validate_pairwise(oracle)
+    assert report.false_positives == ((ex.events_at(1)[1].eid,
+                                       ex.events_at(0)[1].eid),)
 
 
 class TestCaseFormat:

@@ -109,15 +109,15 @@ class TestInvariants:
         report = fuzz(trials=20, seed=0)
         assert report.ok, report.mismatches[:3]
         assert report.trials == 20
-        # every invariant family actually ran (backend-differential needs
-        # the optional numpy kernel)
+        # every invariant family actually ran (backend-differential and
+        # frontier-vs-exhaustive need the optional numpy kernel)
         expected = {
             "exact-vs-hb", "matrix-vs-pairwise", "one-sided",
             "oracle-differential", "finalization-monotonic",
             "store-differential",
         }
         if numpy_available():
-            expected.add("backend-differential")
+            expected |= {"backend-differential", "frontier-vs-exhaustive"}
         assert set(report.checks) == expected
 
     def test_trial_generation_is_deterministic(self):

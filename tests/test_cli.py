@@ -27,6 +27,23 @@ class TestSimulate:
                    "--transport", "piggyback"])
         assert rc == 0
 
+    @pytest.mark.parametrize("name", ["inline-cover", "sundial"])
+    def test_unknown_clock_is_a_clean_error(self, name, tmp_path, capsys):
+        trace = str(tmp_path / "t.json")
+        assert main(["simulate", "--n", "4", "--events", "3",
+                     "--save-trace", trace]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["simulate", "--n", "4", "--events", "3", "--clocks", name],
+            ["validate", trace, "--clocks", "vector", name],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"repro: error: unknown clock {name!r} (choose from inline, "
+            )
+            assert "Traceback" not in err
+
     def test_online_oracle_flag(self, capsys):
         rc = main(["simulate", "--n", "5", "--events", "8",
                    "--online-oracle"])

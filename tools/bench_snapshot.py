@@ -379,13 +379,17 @@ def bench_kernel_backends(quick: bool) -> Dict[str, object]:
 
     - **build** — a dense 64-process clique with mostly-local steps and a
       low delivery probability, i.e. long anchor chains with wide rows.
-      ``appends/s`` is events over construction seconds.  The pure
-      constructor also computes vector clocks eagerly where the numpy one
-      defers them; that asymmetry is the design (timestamps are delayed
-      until queried), so both sides are timed as "constructor returns".
+      ``appends/s`` is events over construction seconds.  The numpy oracle
+      keeps receive cuts and builds its bit matrix only on first use, so
+      its side is timed as constructor plus :meth:`past_matrix` — the same
+      m×m rows the pure constructor builds eagerly (the pure side also
+      computes vector clocks, which the numpy side reads off its cuts).
+      The numpy freeze is timed the same way.
     - **validate** — a 32-process star replayed with a vector clock, then
       :meth:`TimestampAssignment.validate` against a pure-backend vs a
-      numpy-backend oracle, reports asserted identical.
+      numpy-backend oracle, reports asserted identical.  The numpy side
+      may prove the result by the frontier certificate instead of the
+      exhaustive comparison; ``numpy_validate_path`` records which ran.
     """
     from repro.core.backend import numpy_available
 
@@ -402,7 +406,8 @@ def bench_kernel_backends(quick: bool) -> Dict[str, object]:
         lambda: HappenedBeforeOracle(ex, backend="pure"), repeats=2
     )
     numpy_build_s = _best_of(
-        lambda: HappenedBeforeOracle(ex, backend="numpy"), repeats=3
+        lambda: HappenedBeforeOracle(ex, backend="numpy").past_matrix(),
+        repeats=3,
     )
     # the bulk row path alone — the constructor also pays the python-side
     # dense-index dicts, which both backends share
@@ -420,7 +425,7 @@ def bench_kernel_backends(quick: bool) -> Dict[str, object]:
         lambda: inc.freeze(ex, backend="pure"), repeats=2
     )
     freeze_numpy_s = _best_of(
-        lambda: inc.freeze(ex, backend="numpy"), repeats=3
+        lambda: inc.freeze(ex, backend="numpy").past_matrix(), repeats=3
     )
 
     v_steps = 400 if quick else 2_000
@@ -432,8 +437,18 @@ def bench_kernel_backends(quick: bool) -> Dict[str, object]:
     pure_oracle = HappenedBeforeOracle(ex2, backend="pure")
     numpy_oracle = HappenedBeforeOracle(ex2, backend="numpy")
     (asg,) = replay(ex2, [VectorClock(n)])
-    assert asg.validate(numpy_oracle) == asg.validate(pure_oracle), (
+    from repro.obs.metrics import MetricsRegistry, use_registry
+
+    reg = MetricsRegistry()
+    with use_registry(reg):
+        numpy_report = asg.validate(numpy_oracle)
+    assert numpy_report == asg.validate(pure_oracle), (
         "backend validate-report divergence on the validate workload"
+    )
+    numpy_path = (
+        "frontier"
+        if reg.counter_value("validate.frontier_runs")
+        else "exhaustive"
     )
     pure_validate_s = _best_of(lambda: asg.validate(pure_oracle), repeats=2)
     numpy_validate_s = _best_of(lambda: asg.validate(numpy_oracle), repeats=3)
@@ -472,6 +487,7 @@ def bench_kernel_backends(quick: bool) -> Dict[str, object]:
             "pure_validate_s": round(pure_validate_s, 6),
             "numpy_validate_s": round(numpy_validate_s, 6),
             "validate_speedup": round(validate_speedup, 2),
+            "numpy_validate_path": numpy_path,
             "identical_reports": True,
         },
         "min_speedup": round(
