@@ -174,8 +174,8 @@ def possibly_with_inline(
     if oracle is None:
         oracle = HappenedBeforeOracle(assignment.execution)
     else:
-        # the cut machinery needs the batch bitset surface; freezing an
-        # incremental oracle reuses its rows instead of rebuilding
+        # the cut machinery needs the batch bitset surface, so an
+        # incremental oracle is frozen into the batch one
         oracle = as_batch_oracle(oracle, assignment.execution)
     if finalized is None:
         finalized = set(assignment.finalized_during_run)

@@ -106,12 +106,8 @@ def oracle_comparator(oracle: AnyOracle) -> Comparator:
 
     Accepts either oracle flavor: the batch
     :class:`~repro.core.happened_before.HappenedBeforeOracle` or a live
-    :class:`~repro.core.incremental.IncrementalHBOracle` — the incremental
-    flavor routes through its memoized ``precedes`` so the detector's
-    repeated comparisons between appends hit the query cache.
+    :class:`~repro.core.incremental.IncrementalHBOracle`.
     """
-    if isinstance(oracle, IncrementalHBOracle):
-        return oracle.precedes
     return oracle.happened_before
 
 
@@ -167,7 +163,7 @@ class OnlineConjunctiveDetector:
         marks, heads = self._marks, self._heads
         if any(heads[p] >= len(marks[p]) for p in marks):
             return DetectionResult(found=False, witness=None, steps=self._steps)
-        precedes = self._oracle.precedes
+        precedes = self._oracle.happened_before
         procs = list(marks)
         while True:
             advanced: Optional[int] = None

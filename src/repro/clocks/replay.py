@@ -135,7 +135,7 @@ class TimestampAssignment:
 
         Accepts either oracle flavor; an
         :class:`~repro.core.incremental.IncrementalHBOracle` is frozen into
-        a batch view (reusing its rows) rather than rebuilt from scratch.
+        the batch oracle.
         """
         import random as _random
 
@@ -189,7 +189,7 @@ class TimestampAssignment:
 
         *events* restricts the check to a subset (e.g. a finalized cut);
         defaults to every event in the execution.  Either oracle flavor is
-        accepted — an incremental oracle is frozen, not rebuilt.
+        accepted — an incremental oracle is frozen into the batch one.
 
         For a full-execution check on the numpy oracle, whose
         :meth:`~repro.core.happened_before.HappenedBeforeOracle.past_cuts`

@@ -11,7 +11,8 @@ causality-oracle flavors, then cross-checks seven invariants:
    (:meth:`TimestampAssignment.validate` vs ``validate_pairwise``).
 2. **oracle-differential** — an :class:`IncrementalHBOracle` streamed over
    the same events, with queries interleaved between appends, must answer
-   identically to the batch :class:`HappenedBeforeOracle`, and its
+   identically to the batch :class:`HappenedBeforeOracle`, its vector
+   clocks and relation counts must match after full ingest, and its
    ``freeze()`` must produce byte-identical causal-past rows.
 3. **finalization-monotonic** — for inline schemes, a ``⊥`` timestamp that
    finalizes never changes afterwards, and ``finalize_at_termination`` from
@@ -31,10 +32,11 @@ causality-oracle flavors, then cross-checks seven invariants:
    (:mod:`repro.core.colstore`) replaying the same ops must be
    indistinguishable from the object model: identical events, messages,
    and delivery order; byte-identical causal-past rows and validation
-   reports through an execution built on the columnar store; and the
-   batched append path of :class:`IncrementalHBOracle` (pure engine
-   always, numpy engine when available) must answer and ``freeze()``
-   identically to the per-op path with queries interleaved mid-stream.
+   reports through an execution built on the columnar store; and an
+   :class:`IncrementalHBOracle` draining that store with ``sync_store``
+   at random ``upto`` cut points must answer like one fed the same rows
+   per event and like the batch oracle, with queries interleaved at
+   every cut point.
 7. **frontier-vs-exhaustive** — for every scheme,
    :meth:`TimestampAssignment.validate` against a numpy-backend oracle
    (where the frontier certificate of :mod:`repro.clocks.frontier` may
@@ -332,10 +334,10 @@ def _check_oracles(graph, ops, execution, oracle, fifo, context, report):
             graph, ops, fifo, context,
         ))
     for eid in seen:
-        if frozen.vector_clock(eid) != oracle.vector_clock(eid):
+        if inc.vector_clock(eid) != oracle.vector_clock(eid):
             out.append(_mk(
                 "oracle-differential", "oracle",
-                f"vector_clock({eid}) differs after freeze",
+                f"vector_clock({eid}) differs after full ingest",
                 graph, ops, fifo, context,
             ))
             break
@@ -525,11 +527,10 @@ def _check_backends(graph, ops, execution, fifo, context, report):
 
 
 # ----------------------------------------------------------------------
-# invariant 6: columnar store + batched appends vs the object model
+# invariant 6: columnar store + store-fed oracle vs the object model
 # ----------------------------------------------------------------------
 def _check_stores(graph, ops, execution, oracle, fifo, context, report):
-    from repro.core.backend import numpy_available
-    from repro.core.colstore import ColumnarExecutionBuilder
+    from repro.core.colstore import KIND_RECEIVE, ColumnarExecutionBuilder
 
     out: List[Mismatch] = []
     report.count("store-differential")
@@ -563,54 +564,50 @@ def _check_stores(graph, ops, execution, oracle, fifo, context, report):
     if asg_obj.validate(oracle) != asg_col.validate(col_oracle):
         bad("validate() report differs between object and columnar store")
 
-    # batched appends vs per-op appends, queries interleaved mid-stream
-    engines = ["pure"]
-    if numpy_available():
-        engines.append("numpy")
-    events = list(execution.delivery_order())
-    for engine in engines:
-        perop = IncrementalHBOracle(graph.n_vertices)
-        batched = IncrementalHBOracle(
-            graph.n_vertices, batch=True, backend=engine
-        )
-        qrng = random.Random((len(ops) + 3) * 2246822519 % (2**31))
-        seen: List = []
-        for ev in events:
-            if ev.is_receive:
-                send = execution.send_of(ev).eid
-                perop.append_receive(ev.eid, send)
-                batched.append_receive(ev.eid, send)
+    # the store feed vs the per-event feed: one oracle drains the columnar
+    # store with sync_store at random upto cut points, the other takes the
+    # same rows one append_* call at a time; queries interleave at every
+    # cut point, against each other and the full batch oracle (answers
+    # about appended events are final, so it is the reference mid-stream)
+    store = cex.store
+    synced = IncrementalHBOracle(graph.n_vertices)
+    perevent = IncrementalHBOracle(graph.n_vertices)
+    qrng = random.Random((len(ops) + 3) * 2246822519 % (2**31))
+    row = 0
+    while row < store.n_events:
+        upto = min(store.n_events, row + 1 + qrng.randrange(8))
+        synced.sync_store(store, upto=upto)
+        for r in range(row, upto):
+            eid = store.event_id(r)
+            if store.kind_of(r) == KIND_RECEIVE:
+                srow = store.send_row_of(store.msg_of(r))
+                perevent.append_receive(eid, store.event_id(srow))
             else:
-                perop.append_event(ev)
-                batched.append_event(ev)
-            seen.append(ev.eid)
-            if len(seen) >= 2 and qrng.random() < 0.3:
-                a, b = qrng.sample(seen, 2)
-                if batched.happened_before(a, b) != perop.happened_before(
-                    a, b
-                ):
-                    bad(
-                        f"[{engine}] batched happened_before({a}, {b}) "
-                        f"diverges from per-op mid-stream"
-                    )
-                if batched.vector_clock(a) != perop.vector_clock(a):
-                    bad(
-                        f"[{engine}] batched vector_clock({a}) diverges "
-                        f"from per-op mid-stream"
-                    )
-        if batched.relation_counts() != perop.relation_counts():
-            bad(f"[{engine}] batched relation_counts diverge after ingest")
-        for eid in seen:
-            if batched.causal_past(eid) != perop.causal_past(eid):
-                bad(f"[{engine}] batched causal_past({eid}) diverges")
-                break
-        fb = batched.freeze(execution)
-        if fb.past_masks() != oracle.past_masks():
-            bad(f"[{engine}] batched freeze() rows differ from batch oracle")
-        for eid in seen:
-            if fb.vector_clock(eid) != oracle.vector_clock(eid):
-                bad(f"[{engine}] batched freeze() vector_clock({eid}) differs")
-                break
+                perevent.append_local(eid)
+        row = upto
+        if synced.relation_counts() != perevent.relation_counts():
+            bad(f"sync_store relation_counts diverge at row {row}")
+        seen = [store.event_id(r) for r in range(row)]
+        for _ in range(2):
+            a, b = qrng.choice(seen), qrng.choice(seen)
+            hb = synced.happened_before(a, b)
+            if hb != perevent.happened_before(a, b):
+                bad(f"sync_store happened_before({a}, {b}) diverges "
+                    f"from the per-event feed at row {row}")
+            if hb != oracle.happened_before(a, b):
+                bad(f"sync_store happened_before({a}, {b}) diverges "
+                    f"from the batch oracle at row {row}")
+            vc = synced.vector_clock(a)
+            if vc != perevent.vector_clock(a) or vc != oracle.vector_clock(a):
+                bad(f"sync_store vector_clock({a}) diverges at row {row}")
+    if synced.relation_counts() != oracle.relation_counts():
+        bad("sync_store relation_counts diverge from the batch oracle")
+    for eid in oracle.event_order:
+        if synced.causal_past(eid) != oracle.causal_past(eid):
+            bad(f"sync_store causal_past({eid}) diverges")
+            break
+    if synced.freeze(execution).past_masks() != oracle.past_masks():
+        bad("sync_store freeze() rows differ from batch oracle")
     return out
 
 

@@ -47,7 +47,7 @@ backend seam; byte-identity of everything downstream is pinned by
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.events import (
     Event,
@@ -361,6 +361,26 @@ class EventStore:
                 (EventId(proc[rr], seq[rr]), EventId(proc[sr], seq[sr]))
             )
         return out
+
+    def causal_rows(
+        self, start: int, stop: int
+    ) -> Iterator[Tuple[int, int, int, int]]:
+        """``(proc, seq, send_proc, send_seq)`` of rows ``[start, stop)``.
+
+        ``send_proc``/``send_seq`` identify a receive's send event and are
+        ``-1`` for local and send events: all a streaming causality oracle
+        reads, with no ``Event`` objects built.
+        """
+        proc, seq, msend = self._proc, self._seq, self._msend
+        for p, s, m, k in zip(
+            proc[start:stop], seq[start:stop],
+            self._msg[start:stop], self._kind[start:stop],
+        ):
+            if k == KIND_RECEIVE:
+                sr = msend[m]
+                yield p, s, proc[sr], seq[sr]
+            else:
+                yield p, s, -1, -1
 
     # ------------------------------------------------------------------
     # conversions

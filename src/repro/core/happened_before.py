@@ -108,41 +108,6 @@ class HappenedBeforeOracle:
             self._compute()
         active_registry().gauge("oracle.backend", backend=self.backend).set(1)
 
-    @classmethod
-    def from_parts(
-        cls,
-        execution: Execution,
-        past_rows: List[int],
-        vector_clocks: Dict[EventId, Tuple[int, ...]],
-    ) -> "HappenedBeforeOracle":
-        """Assemble an oracle from precomputed rows, skipping the batch pass.
-
-        Used by :meth:`repro.core.incremental.IncrementalHBOracle.freeze` to
-        hand over incrementally maintained state.  *past_rows* must be the
-        strict causal-past masks in this class's dense (process-major)
-        indexing, and *vector_clocks* must cover every event; the caller
-        guarantees both describe *execution* — the equivalence property
-        tests pin that the handoff is byte-identical to a fresh build.
-        """
-        self = cls.__new__(cls)
-        self._execution = execution
-        self._vc = dict(vector_clocks)
-        self._order = tuple(ev.eid for ev in execution.all_events())
-        self._pos = {eid: i for i, eid in enumerate(self._order)}
-        self._proc_base = self._compute_proc_bases()
-        if len(past_rows) != len(self._order):
-            raise ValueError(
-                f"expected {len(self._order)} rows, got {len(past_rows)}"
-            )
-        self._past = list(past_rows)
-        self._future = None
-        self.backend = "pure"
-        self._mat = None
-        self._cuts = None
-        self._anchor = None
-        active_registry().gauge("oracle.backend", backend=self.backend).set(1)
-        return self
-
     @property
     def execution(self) -> Execution:
         return self._execution

@@ -84,6 +84,10 @@ KILL_ENV = "REPRO_FABRIC_TEST_KILL"
 HANG_ENV = "REPRO_FABRIC_TEST_HANG"
 INTERRUPT_ENV = "REPRO_FABRIC_TEST_INTERRUPT"
 
+#: how long a finished sweep keeps its listener open so remote workers
+#: still polling learn the sweep is over (see FabricService.drain)
+SERVICE_DRAIN_S = 2.0
+
 Executor = Callable[[Mapping[str, Any]], Any]
 
 
@@ -501,6 +505,8 @@ def _run_coordinated(
         raise FabricInterrupted(stats["cells_done"], queue.depth()) from None
     finally:
         if service is not None:
+            if queue.all_done() or queue.failure() is not None:
+                service.drain(timeout=SERVICE_DRAIN_S)
             service.stop()
         _shutdown_fleet(fleet)
 

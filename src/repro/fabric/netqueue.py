@@ -18,7 +18,10 @@ worker and absorbed by the content-addressed store, failed attempts just
 consume retry budget.  A remote worker therefore needs no identity
 handshake and no teardown protocol — when the coordinator vanishes
 (sweep done, interrupted, or crashed) requests time out and the worker
-exits.
+exits.  On a clean finish the service does not wait for that: it answers
+every worker it has heard from with ``over`` (on a completion, an empty
+lease or a status poll), and :meth:`FabricService.drain` holds the
+listener open until all of them have been told, so workers exit at once.
 
 Results travel as plain JSON in the message frame; the *coordinator*
 writes them to the store, so remote hosts need no shared filesystem.
@@ -68,6 +71,9 @@ class FabricService:
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self.address: Optional[Tuple[str, int]] = None
+        # workers heard from that have not yet been told the sweep is over
+        self._untold: set = set()
+        self._untold_cv = threading.Condition()
 
     # ------------------------------------------------------------------
     def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
@@ -96,6 +102,30 @@ class FabricService:
         self._loop = None
         self._thread = None
 
+    def drain(self, timeout: float) -> bool:
+        """Wait until every worker heard from has been told the sweep is over.
+
+        Called once the queue is finished, before :meth:`stop`, so polling
+        workers learn the outcome instead of timing out against a closed
+        port.  Returns False if *timeout* ran out first (a worker died, or
+        is still executing a reassigned duplicate).
+        """
+        with self._untold_cv:
+            return self._untold_cv.wait_for(
+                lambda: not self._untold, timeout=timeout
+            )
+
+    def _note(self, worker: str, over: bool) -> None:
+        with self._untold_cv:
+            if over:
+                self._untold.discard(worker)
+                self._untold_cv.notify_all()
+            else:
+                self._untold.add(worker)
+
+    def _over(self) -> bool:
+        return self._queue.all_done() or self._queue.failure() is not None
+
     # ------------------------------------------------------------------
     def _serve(self, host: str, port: int) -> None:
         loop = asyncio.new_event_loop()
@@ -113,7 +143,9 @@ class FabricService:
         try:
             loop.run_forever()
         finally:
-            loop.run_until_complete(server.stop())
+            # responses already computed (the "over" answers drain waited
+            # for among them) must reach their workers before teardown
+            loop.run_until_complete(server.stop(grace=1.0))
             remaining = asyncio.all_tasks(loop)
             for task in remaining:
                 task.cancel()
@@ -129,10 +161,14 @@ class FabricService:
         if op == "lease":
             leased = self._queue.lease(worker, time.monotonic())
             if leased is None:
-                return {"key": None}
+                over = self._over()
+                self._note(worker, over)
+                return {"key": None, "over": over}
+            self._note(worker, False)
             key, spec = leased
             return {"key": key, "spec": spec}
         if op == "heartbeat":
+            self._note(worker, False)
             held = self._queue.heartbeat(
                 message["key"], worker, time.monotonic()
             )
@@ -146,19 +182,26 @@ class FabricService:
                 message["result"],
             )
             first = self._queue.complete(message["key"], worker)
-            return {"first": first}
+            # a worker ending its session on this cell sends no more
+            over = self._over()
+            self._note(worker, over or bool(message.get("last")))
+            return {"first": first, "over": over}
         if op == "fail":
+            self._note(worker, False)
             self._queue.fail_attempt(
                 message["key"], worker, str(message.get("error", ""))
             )
             return {"recorded": True}
         if op == "status":
-            return {
+            status = {
                 "done": self._queue.done_count(),
                 "depth": self._queue.depth(),
                 "all_done": self._queue.all_done(),
                 "failed": self._queue.failure() is not None,
             }
+            if status["all_done"] or status["failed"]:
+                self._note(worker, True)
+            return status
         raise ValueError(f"unknown fabric op {op!r}")
 
 
@@ -210,11 +253,7 @@ async def _worker_loop(
                 break  # coordinator gone: sweep over or interrupted
             key = leased.get("key")
             if key is None:
-                try:
-                    status = await client.request({"op": "status"})
-                except (RequestTimeout, ConnectionClosed):
-                    break
-                if status.get("all_done") or status.get("failed"):
+                if leased.get("over"):
                     break
                 await asyncio.sleep(poll)
                 continue
@@ -238,14 +277,17 @@ async def _worker_loop(
                 continue
             stop.set()
             await beat
+            last = max_cells is not None and completed + 1 >= max_cells
             try:
-                await client.request({
+                done = await client.request({
                     "op": "complete", "key": key, "worker": worker,
-                    "spec": spec, "result": result,
+                    "spec": spec, "result": result, "last": last,
                 })
             except (RequestTimeout, ConnectionClosed):
                 break
             completed += 1
+            if done.get("over"):
+                break
     finally:
         await client.close()
     return completed

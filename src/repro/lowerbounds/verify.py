@@ -81,7 +81,7 @@ def check_vector_assignment(
     *vectors* must cover every event of the execution.  Violations are
     reported in a deterministic order (event-id major).  Either oracle
     flavor is accepted; an incremental oracle built alongside the run is
-    frozen into the batch view instead of recomputing causal pasts.
+    frozen into the batch oracle.
     """
     if oracle is None:
         oracle = HappenedBeforeOracle(execution)

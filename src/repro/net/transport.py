@@ -407,6 +407,7 @@ class RpcServer:
         self._inflight: Dict[str, asyncio.Task] = {}
         self._capacity = dedup_capacity
         self._conn_tasks: set = set()
+        self._request_tasks: set = set()
         self.address: Optional[Tuple[str, int]] = None
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
@@ -440,6 +441,8 @@ class RpcServer:
                 )
                 request_tasks.add(t)
                 t.add_done_callback(request_tasks.discard)
+                self._request_tasks.add(t)
+                t.add_done_callback(self._request_tasks.discard)
         except asyncio.CancelledError:
             pass  # server teardown; fall through to cleanup
         finally:
@@ -491,11 +494,19 @@ class RpcServer:
         except (ConnectionClosed, TransportError):
             pass  # requester reconnects and retransmits; dedup replays
 
-    async def stop(self) -> None:
+    async def stop(self, grace: float = 0.0) -> None:
+        """Close the listener and every connection.
+
+        With *grace* > 0, requests already being served get up to that many
+        seconds to send their responses first (a graceful shutdown); with
+        the default 0 they are cut off, as in a crash.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if grace > 0 and self._request_tasks:
+            await asyncio.wait(set(self._request_tasks), timeout=grace)
         for t in list(self._inflight.values()):
             t.cancel()
         self._inflight.clear()

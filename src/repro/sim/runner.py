@@ -132,10 +132,9 @@ class SimulationResult:
     def hb_oracle(self) -> HappenedBeforeOracle:
         """Ground-truth batch oracle for the run's execution.
 
-        With ``online_oracle=True`` this *freezes* the incrementally
-        maintained rows (a block permutation, no rebuild); otherwise it
-        falls back to the from-scratch batch construction.  Either way the
-        result is byte-identical.
+        With ``online_oracle=True`` this *freezes* the streaming oracle,
+        which checks it saw the whole execution; either way the batch
+        oracle is built from the execution.
         """
         if self.online_oracle is not None:
             return self.online_oracle.freeze(self.execution)
@@ -210,13 +209,10 @@ class Simulation:
     online_oracle:
         Stream every event into an
         :class:`~repro.core.incremental.IncrementalHBOracle` *during* the
-        run (O(Δ) per event).  Online consumers — predicate and
-        concurrent-update detectors — can query it mid-run through
-        workload hooks, and ``SimulationResult.hb_oracle()`` freezes it
-        into the batch oracle without the post-hoc O(|E|²) rebuild.  The
-        oracle runs in batched-append mode: appends land in a buffer and
-        rows are constructed chunk-at-a-time on the first query, so runs
-        that query rarely pay far less than one big-int merge per event.
+        run (O(1) per event, O(n) per receive).  Online consumers —
+        predicate and concurrent-update detectors — can query it mid-run
+        through workload hooks; ``SimulationResult.hb_oracle()`` freezes
+        it into the batch oracle.
     event_store:
         Event-storage flavor: ``"object"`` (per-event heap objects, the
         default), ``"columnar"`` (structure-of-arrays
@@ -639,16 +635,13 @@ class Simulation:
         self._n_seen = 0
         self._reg = self._metrics if self._metrics is not None else MetricsRegistry()
         self._oracle = (
-            IncrementalHBOracle(
-                self._graph.n_vertices, registry=self._reg, batch=True
-            )
+            IncrementalHBOracle(self._graph.n_vertices, registry=self._reg)
             if self._online_oracle
             else None
         )
-        # with the columnar store the oracle binds to it and drains whole
-        # row ranges at flush time (vectorized sync_store) — the hot loop
-        # skips per-event append calls entirely; the object builder keeps
-        # the per-event feed
+        # with the columnar store the oracle binds to it and drains new rows
+        # on the next query (sync_store) — the hot loop skips per-event
+        # append calls; the object builder keeps the per-event feed
         self._oracle_feed = self._oracle
         if self._oracle is not None and self._store is not None:
             self._oracle.bind_store(self._store)
@@ -712,8 +705,8 @@ class Simulation:
         self._scheduler.run(max_time=max_time, max_steps=max_steps)
         duration = self._scheduler.now
         if self._oracle is not None:
-            # drain any buffered batched appends so the oracle.* metrics
-            # reflect the whole run even if no query ever forced a flush
+            # drain a bound store so the oracle.* metrics reflect the
+            # whole run even if no query ever forced a sync
             self._oracle.flush()
         execution = self._builder.freeze()
 

@@ -32,12 +32,14 @@ from repro.core import (
 )
 from repro.core.events import EventId
 from repro.core.random_executions import random_execution
+from repro.sim import Simulation
+from repro.sim.workload import Workload
 from repro.topology import generators
 
 
-def _stream(ex, chunk=8):
+def _stream(ex):
     """Oracle plus the delivery order used to feed it."""
-    inc = IncrementalHBOracle(ex.n_processes, chunk=chunk)
+    inc = IncrementalHBOracle(ex.n_processes)
     return inc, ex.delivery_order()
 
 
@@ -243,3 +245,69 @@ class TestLatticeWalkersOnIncremental:
         assert witness_seen is not None
         final_cuts = set(enumerate_consistent_cuts(inc))
         assert witness_seen in final_cuts
+
+
+class _DetectingWorkload(Workload):
+    """Each action is a keyed update checked at once by both online
+    detectors, or a send to a random neighbour."""
+
+    def __init__(self, actions=12, keys=3):
+        self.actions = actions
+        self.keys = keys
+        self.updates = {}
+
+    def setup(self, sim):
+        self.updates_det = OnlineConcurrentUpdateDetector(sim.oracle)
+        self.conj = OnlineConjunctiveDetector(sim.oracle, [0, 1, 2])
+        self.found = None
+        for p in sim.graph.vertices():
+            self._next(sim, p, self.actions)
+
+    def _next(self, sim, p, budget):
+        if budget <= 0:
+            return
+
+        def act():
+            neighbors = sorted(sim.graph.neighbors(p))
+            if sim.rng.random() < 0.4:
+                ev = sim.do_local(p)
+                key = f"k{sim.rng.randrange(self.keys)}"
+                self.updates[ev.eid] = key
+                self.updates_det.record_update(ev.eid, key)
+                if p in (0, 1, 2):
+                    self.conj.mark(ev.eid)
+                    res = self.conj.check()
+                    if res.found and self.found is None:
+                        self.found = res.witness
+            else:
+                sim.do_send(p, sim.rng.choice(neighbors))
+            self._next(sim, p, budget - 1)
+
+        sim.schedule(sim.rng.expovariate(1.0) + 1e-9, act)
+
+
+class TestDetectorsInSimulation:
+    """Both online detectors queried mid-run under each event store."""
+
+    @pytest.mark.parametrize("store", ["object", "columnar"])
+    def test_online_detectors_under_each_store(self, store):
+        from repro.clocks import VectorClock
+
+        g = generators.star(5)
+        sim = Simulation(g, seed=3, clocks={"vector": VectorClock(5)},
+                         online_oracle=True, event_store=store)
+        work = _DetectingWorkload()
+        res = sim.run(work)
+        batch = HappenedBeforeOracle(res.execution)
+        assert work.updates
+        assert work.updates_det.conflicts == find_conflicts(
+            batch.happened_before, work.updates
+        )
+        marks = {p: [] for p in (0, 1, 2)}
+        for eid in sorted(work.updates):
+            if eid.proc in marks:
+                marks[eid.proc].append(eid.index)
+        if all(marks.values()):
+            ref = detect_conjunctive(oracle_comparator(batch), marks)
+            assert (work.found is not None) == ref.found
+        assert res.online_oracle.relation_counts() == batch.relation_counts()

@@ -8,11 +8,11 @@ Two families of properties, on arbitrary (including faulted) executions:
   execution (event ids, kinds, message fates), and
   :meth:`EventStore.from_execution` records the object execution
   column-for-column identically to the live columnar build;
-- **append-path parity** — per-op appends, buffered batched appends
-  (pure and numpy engines), and whole-range
+- **append-path parity** — per-event appends, whole-range
   :meth:`~repro.core.incremental.IncrementalHBOracle.sync_store` drains
-  all freeze to byte-identical snapshots with identical ``oracle.*``
-  metric totals, matching the from-scratch batch oracle.
+  and ``upto``-capped drains all answer like the from-scratch batch
+  oracle (vector clocks, relation counts, frozen rows) with identical
+  ``oracle.*`` metric totals.
 
 These are the property-based teeth behind the conformance fuzzer's
 ``store-differential`` invariant.
@@ -63,6 +63,15 @@ def _ops(graph, seed: int):
         graph, random.Random(seed), steps=30 + seed % 60,
         deliver_all=(seed % 2 == 0), fault=fault,
     )
+
+
+def _assert_answers(oracle, ex):
+    """Live answers of a streamed oracle vs the pure batch oracle."""
+    ref = HappenedBeforeOracle(ex, backend="pure")
+    assert oracle.n_events == ex.n_events
+    assert oracle.relation_counts() == ref.relation_counts()
+    for ev in ex.all_events():
+        assert oracle.vector_clock(ev.eid) == ref.vector_clock(ev.eid)
 
 
 def _feed_per_event(oracle, store):
@@ -142,37 +151,39 @@ class TestStorageParity:
 
 
 class TestAppendPathParity:
-    def _oracles(self, nv, backends):
-        regs, oracles = {}, {}
-        for name, kwargs in backends.items():
-            regs[name] = MetricsRegistry()
-            oracles[name] = IncrementalHBOracle(
-                nv, registry=regs[name], **kwargs
-            )
-        return regs, oracles
+    PATHS = ("per_event", "sync", "chunked")
 
-    def _assert_parity(self, graph, ops, backends):
+    def _assert_parity(self, graph, ops, backend):
         ex = execution_from_ops(graph, ops)
         store = EventStore.from_execution(ex)
-        ref = HappenedBeforeOracle(ex, backend="pure")
+        ref = HappenedBeforeOracle(ex, backend=backend)
         ref_masks = ref.past_masks()
-        regs, oracles = self._oracles(graph.n_vertices, backends)
-        for name, oracle in oracles.items():
-            if name.startswith("sync"):
+        regs = {}
+        for name in self.PATHS:
+            regs[name] = MetricsRegistry()
+            oracle = IncrementalHBOracle(
+                graph.n_vertices, registry=regs[name]
+            )
+            if name == "sync":
                 oracle.sync_store(store)
-            elif name.startswith("chunked"):
+            elif name == "chunked":
                 upto = 0
                 while upto < store.n_events:
                     upto = min(upto + 7, store.n_events)
                     oracle.sync_store(store, upto=upto)
             else:
                 _feed_per_event(oracle, store)
-            frozen = oracle.freeze(ex, backend="pure")
-            assert frozen.past_masks() == ref_masks, name
             assert oracle.relation_counts() == ref.relation_counts(), name
-        base = regs[next(iter(regs))]
+            for ev in ex.all_events():
+                assert oracle.vector_clock(ev.eid) == ref.vector_clock(
+                    ev.eid
+                ), name
+            frozen = oracle.freeze(ex, backend=backend)
+            assert frozen.backend == backend, name
+            assert frozen.past_masks() == ref_masks, name
+        base = regs["per_event"]
         for name, reg in regs.items():
-            for metric in ("oracle.appends", "oracle.append_words"):
+            for metric in ("oracle.appends", "oracle.cut_rows"):
                 assert reg.counter_value(metric) == base.counter_value(
                     metric
                 ), (name, metric)
@@ -181,23 +192,14 @@ class TestAppendPathParity:
     @given(seed=st.integers(0, 10_000))
     def test_pure_paths_byte_identical(self, seed):
         graph = _graph(seed)
-        self._assert_parity(graph, _ops(graph, seed), {
-            "per_op": {},
-            "batched_pure": {"batch": True, "backend": "pure"},
-            "sync_pure": {"batch": True, "backend": "pure"},
-        })
+        self._assert_parity(graph, _ops(graph, seed), "pure")
 
     @needs_numpy
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_numpy_paths_byte_identical(self, seed):
         graph = _graph(seed)
-        self._assert_parity(graph, _ops(graph, seed), {
-            "per_op": {},
-            "batched_numpy": {"batch": True, "backend": "numpy"},
-            "sync_numpy": {"batch": True, "backend": "numpy"},
-            "chunked_numpy": {"batch": True, "backend": "numpy"},
-        })
+        self._assert_parity(graph, _ops(graph, seed), "numpy")
 
     @needs_numpy
     @settings(max_examples=10, deadline=None)
@@ -207,9 +209,7 @@ class TestAppendPathParity:
         ops = _ops(graph, seed)
         ex = execution_from_ops(graph, ops)
         store = EventStore.from_execution(ex)
-        oracle = IncrementalHBOracle(
-            graph.n_vertices, batch=True, backend="numpy"
-        )
+        oracle = IncrementalHBOracle(graph.n_vertices)
         oracle.sync_store(store)
         frozen = oracle.freeze(ex, backend="numpy")
         assert frozen.past_masks() == HappenedBeforeOracle(
@@ -226,42 +226,33 @@ class TestSyncStoreContract:
         )
         return graph, ex, EventStore.from_execution(ex)
 
-    def test_requires_batch_mode(self):
-        _graph_, _ex, store = self._store()
-        oracle = IncrementalHBOracle(4)
-        with pytest.raises(ValueError):
-            oracle.sync_store(store)
-
     def test_rejects_process_count_mismatch(self):
         _graph_, _ex, store = self._store()
-        oracle = IncrementalHBOracle(7, batch=True)
+        oracle = IncrementalHBOracle(7)
         with pytest.raises(ValueError):
             oracle.sync_store(store)
 
     def test_rejects_second_store(self):
         _graph_, _ex, store = self._store()
         _graph2, _ex2, other = self._store(seed=9)
-        oracle = IncrementalHBOracle(4, batch=True)
+        oracle = IncrementalHBOracle(4)
         oracle.sync_store(store)
         with pytest.raises(ValueError):
             oracle.sync_store(other)
 
     def test_upto_is_incremental_and_idempotent(self):
         _graph_, ex, store = self._store()
-        oracle = IncrementalHBOracle(4, batch=True)
+        oracle = IncrementalHBOracle(4)
         half = store.n_events // 2
         assert oracle.sync_store(store, upto=half) == half
         assert oracle.sync_store(store, upto=half) == 0
         assert oracle.sync_store(store) == store.n_events - half
         assert oracle.sync_store(store) == 0
-        frozen = oracle.freeze(ex, backend="pure")
-        assert frozen.past_masks() == HappenedBeforeOracle(
-            ex, backend="pure"
-        ).past_masks()
+        _assert_answers(oracle, ex)
 
     def test_rejects_rows_that_do_not_continue_sequences(self):
         _graph_, _ex, store = self._store()
-        oracle = IncrementalHBOracle(4, batch=True)
+        oracle = IncrementalHBOracle(4)
         # pre-consume one event per process manually: the store's rows no
         # longer continue the oracle's per-process sequences
         oracle.append_local(store.event_id(0))
@@ -270,13 +261,11 @@ class TestSyncStoreContract:
 
     def test_bind_store_drains_on_flush(self):
         _graph_, ex, store = self._store()
-        oracle = IncrementalHBOracle(4, batch=True)
+        oracle = IncrementalHBOracle(4)
         oracle.bind_store(store)
         oracle.flush()
-        frozen = oracle.freeze(ex, backend="pure")
-        assert frozen.past_masks() == HappenedBeforeOracle(
-            ex, backend="pure"
-        ).past_masks()
+        assert oracle.sync_store(store) == 0
+        _assert_answers(oracle, ex)
 
 
 class TestPureFallback:
@@ -289,13 +278,9 @@ class TestPureFallback:
         ops = _ops(graph, seed)
         ex = execution_from_ops(graph, ops)
         store = EventStore.from_execution(ex)
-        oracle = IncrementalHBOracle(
-            graph.n_vertices, batch=True, backend="pure"
-        )
+        oracle = IncrementalHBOracle(graph.n_vertices)
         oracle.sync_store(store)
-        assert oracle.freeze(ex, backend="pure").past_masks() == (
-            HappenedBeforeOracle(ex, backend="pure").past_masks()
-        )
+        _assert_answers(oracle, ex)
 
     def test_simulation_columnar_without_numpy(self, monkeypatch):
         import repro.core.backend as backend
@@ -312,6 +297,6 @@ class TestPureFallback:
         )
         res = sim.run(UniformWorkload(events_per_process=15))
         oracle = res.online_oracle
-        assert oracle is not None and not oracle._use_np
+        assert oracle is not None
         masks = res.hb_oracle().past_masks()
         assert masks == HappenedBeforeOracle(res.execution).past_masks()

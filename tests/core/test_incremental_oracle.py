@@ -1,15 +1,16 @@
 """Tests for the streaming incremental happened-before oracle.
 
-The load-bearing property is byte-identity: an
-:class:`IncrementalHBOracle` fed event-by-event, then frozen, must be
-indistinguishable from a :class:`HappenedBeforeOracle` built over the
-completed execution — rows, event order, vector clocks, and every query.
+The load-bearing property is equivalence: an :class:`IncrementalHBOracle`
+fed event-by-event must answer every query — point relations, vector
+clocks, causal pasts and frontiers, relation counts — exactly like a
+:class:`HappenedBeforeOracle` built over the same events, at every point
+of the stream, and ``freeze`` must hand over the batch oracle.
 """
 
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     HappenedBeforeOracle,
@@ -18,21 +19,52 @@ from repro.core import (
     incremental_from_execution,
 )
 from repro.core.events import EventId
+from repro.core.execution import ExecutionBuilder
 from repro.core.random_executions import random_execution
 from repro.obs.metrics import MetricsRegistry
 from repro.topology import generators
 
 
-def assert_byte_identical(inc, execution):
-    """Frozen incremental oracle vs from-scratch batch oracle."""
-    frozen = inc.freeze(execution)
+def assert_matches_batch(inc, execution):
+    """Live answers of *inc* and its freeze vs a from-scratch batch oracle."""
     batch = HappenedBeforeOracle(execution)
+    assert inc.relation_counts() == batch.relation_counts()
+    for ev in execution.all_events():
+        assert inc.vector_clock(ev.eid) == batch.vector_clock(ev.eid)
+        assert inc.causal_past(ev.eid) == batch.causal_past(ev.eid)
+    frozen = inc.freeze(execution)
     assert frozen.event_order == batch.event_order
     assert frozen.past_masks() == batch.past_masks()
-    assert frozen.relation_counts() == batch.relation_counts()
-    for ev in execution.all_events():
-        assert frozen.vector_clock(ev.eid) == batch.vector_clock(ev.eid)
     return frozen, batch
+
+
+def batch_frontier(batch, seeds):
+    """Maximal events of the downward closure of *seeds*, from the batch
+    oracle's relation alone."""
+    closure = set(seeds)
+    for f in seeds:
+        closure |= batch.causal_past(f)
+    return sorted(
+        e for e in closure
+        if not any(batch.happened_before(e, f) for f in closure)
+    )
+
+
+def prefix_execution(execution, order):
+    """The execution made of the events in *order*, a causally consistent
+    prefix of ``execution.delivery_order()``, with the same event ids."""
+    b = ExecutionBuilder(execution.n_processes)
+    msg = {}
+    for ev in order:
+        if ev.is_receive:
+            b.receive(ev.proc, msg[ev.msg_id])
+        elif ev.is_send:
+            msg[ev.msg_id] = b.send(
+                ev.proc, execution.message(ev.msg_id).dst
+            )
+        else:
+            b.local(ev.proc)
+    return b.freeze()
 
 
 class TestAppendBasics:
@@ -107,83 +139,25 @@ class TestAppendBasics:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             IncrementalHBOracle(0)
-        with pytest.raises(ValueError):
-            IncrementalHBOracle(2, chunk=0)
-        with pytest.raises(ValueError):
-            IncrementalHBOracle(2, cache_size=0)
+        # the registry is the only option
+        for option in ("chunk", "cache_size", "batch", "backend"):
+            with pytest.raises(TypeError):
+                IncrementalHBOracle(2, **{option: 1})
 
 
-class TestChunkGrowth:
-    def test_growth_across_many_chunks(self):
-        # chunk=4 forces repeated chunk allocation; answers must be exact
-        # regardless of where slots land
-        g = generators.star(5)
-        ex = random_execution(g, random.Random(2), steps=120,
-                              deliver_all=True)
-        inc = IncrementalHBOracle(5, chunk=4).ingest(ex)
-        assert_byte_identical(inc, ex)
-
-    @pytest.mark.parametrize("chunk", [1, 3, 64, 1000])
-    def test_chunk_size_is_invisible(self, chunk):
-        g = generators.star(4)
-        ex = random_execution(g, random.Random(9), steps=50,
-                              deliver_all=True)
-        inc = IncrementalHBOracle(4, chunk=chunk).ingest(ex)
-        assert_byte_identical(inc, ex)
-
-
-class TestQueryCache:
-    def test_hit_miss_counters(self, small_star_execution):
-        reg = MetricsRegistry()
-        inc = incremental_from_execution(small_star_execution, registry=reg)
-        e, f = EventId(1, 1), EventId(0, 1)
-        inc.precedes(e, f)
-        assert reg.counter_value("oracle.query_cache_miss") == 1
-        assert reg.counter_value("oracle.query_cache_hit") == 0
-        inc.precedes(e, f)
-        assert reg.counter_value("oracle.query_cache_hit") == 1
-
-    def test_append_invalidates_cache(self, small_star_execution):
-        ex = small_star_execution
-        reg = MetricsRegistry()
-        inc = IncrementalHBOracle(ex.n_processes, registry=reg)
-        order = ex.delivery_order()
-        for ev in order[:-1]:
-            if ev.is_receive:
-                inc.append_receive(ev.eid, ex.send_of(ev).eid)
-            else:
-                inc.append_event(ev)
-        e, f = EventId(1, 1), EventId(0, 1)
-        inc.precedes(e, f)
-        inc.precedes(e, f)
-        assert reg.counter_value("oracle.query_cache_hit") == 1
-        last = order[-1]
-        if last.is_receive:
-            inc.append_receive(last.eid, ex.send_of(last).eid)
-        else:
-            inc.append_event(last)
-        assert inc.cache_info()["watermark"] != inc.watermark
-        inc.precedes(e, f)  # cache dropped: this is a miss again
-        assert reg.counter_value("oracle.query_cache_miss") == 2
-        assert inc.cache_info()["watermark"] == inc.watermark
-
-    def test_lru_eviction_bounds_entries(self, small_star_execution):
-        ex = small_star_execution
-        inc = incremental_from_execution(ex, cache_size=4)
-        ids = [ev.eid for ev in ex.all_events()]
-        for e in ids:
-            for f in ids:
-                inc.precedes(e, f)
-        assert inc.cache_info()["entries"] <= 4
-
-    def test_cached_queries_match_raw(self, small_star_execution):
+class TestQueries:
+    def test_queries_match_batch(self, small_star_execution):
         ex = small_star_execution
         inc = incremental_from_execution(ex)
         batch = HappenedBeforeOracle(ex)
         ids = [ev.eid for ev in ex.all_events()]
         for e in ids:
             for f in ids:
+                assert inc.happened_before(e, f) == \
+                    batch.happened_before(e, f)
+                # precedes is an alias kept for comparator callers
                 assert inc.precedes(e, f) == batch.happened_before(e, f)
+                assert inc.leq(e, f) == batch.leq(e, f)
                 if e != f:
                     expected = (not batch.happened_before(e, f)
                                 and not batch.happened_before(f, e))
@@ -202,15 +176,9 @@ class TestQueryCache:
         rng = random.Random(4)
         for _ in range(20):
             seeds = rng.sample(ids, rng.randrange(1, 5))
-            frontier = inc.causal_frontier(seeds)
-            closure = set(seeds)
-            for f in seeds:
-                closure |= {e for e in ids if batch.happened_before(e, f)}
-            expected = sorted(
-                e for e in closure
-                if not any(batch.happened_before(e, f) for f in closure)
+            assert inc.causal_frontier(seeds) == batch_frontier(
+                batch, seeds
             )
-            assert frontier == expected
 
 
 class TestFreeze:
@@ -218,8 +186,8 @@ class TestFreeze:
         g = generators.double_star(2, 3)
         ex = random_execution(g, random.Random(5), steps=80,
                               deliver_all=True)
-        inc = incremental_from_execution(ex, chunk=8)
-        assert_byte_identical(inc, ex)
+        inc = incremental_from_execution(ex)
+        assert_matches_batch(inc, ex)
 
     def test_freeze_rejects_process_mismatch(self, small_star_execution):
         inc = IncrementalHBOracle(3)
@@ -237,12 +205,6 @@ class TestFreeze:
                 inc.append_event(ev)
         with pytest.raises(ValueError, match="oracle saw"):
             inc.freeze(ex)
-
-    def test_from_parts_rejects_row_count_mismatch(
-        self, small_star_execution
-    ):
-        with pytest.raises(ValueError):
-            HappenedBeforeOracle.from_parts(small_star_execution, [0], {})
 
     def test_as_batch_oracle_passthrough_and_freeze(
         self, small_star_execution, small_oracle
@@ -262,7 +224,7 @@ class TestPropertyEquivalence:
         # and sampled precedes answers must match the batch oracle exactly
         g = generators.star(5)
         ex = random_execution(g, random.Random(seed), steps=steps)
-        inc = IncrementalHBOracle(5, chunk=4)
+        inc = IncrementalHBOracle(5)
         seen = []
         rng = random.Random(seed + 1)
         batch = HappenedBeforeOracle(ex)
@@ -280,7 +242,51 @@ class TestPropertyEquivalence:
                 if e != f:
                     assert inc.precedes(e, f) == batch.happened_before(e, f)
         assert inc.relation_counts() == batch.relation_counts()
-        assert_byte_identical(inc, ex)
+        assert_matches_batch(inc, ex)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        steps=st.integers(2, 90),
+        star=st.booleans(),
+    )
+    def test_mid_stream_answers_equal_prefix_batch(self, seed, steps, star):
+        # at random cut points of the stream, the live oracle's clocks,
+        # frontiers and relation counts equal a batch oracle built over
+        # exactly the events appended so far
+        g = generators.star(5) if star else generators.clique(5)
+        ex = random_execution(g, random.Random(seed), steps=steps)
+        order = ex.delivery_order()
+        rng = random.Random(seed + 7)
+        points = set(rng.sample(range(1, len(order) + 1),
+                                min(4, len(order))))
+        inc = IncrementalHBOracle(5)
+        for k, ev in enumerate(order, 1):
+            if ev.is_receive:
+                inc.append_receive(ev.eid, ex.send_of(ev).eid)
+            else:
+                inc.append_local(ev.eid)
+            if k not in points:
+                continue
+            batch = HappenedBeforeOracle(prefix_execution(ex, order[:k]))
+            ids = list(batch.event_order)
+            assert inc.n_events == k
+            assert inc.relation_counts() == batch.relation_counts()
+            for eid in ids:
+                assert inc.vector_clock(eid) == batch.vector_clock(eid)
+            for _ in range(3):
+                seeds = rng.sample(ids, rng.randrange(1, min(5, k) + 1))
+                assert inc.causal_frontier(seeds) == batch_frontier(
+                    batch, seeds
+                )
+
+    def test_metrics_count_appends_and_cut_rows(self, small_star_execution):
+        ex = small_star_execution
+        reg = MetricsRegistry()
+        incremental_from_execution(ex, registry=reg)
+        receives = sum(1 for ev in ex.all_events() if ev.is_receive)
+        assert reg.counter_value("oracle.appends") == ex.n_events
+        assert reg.counter_value("oracle.cut_rows") == receives
 
     @given(seed=st.integers(0, 10_000))
     def test_ingest_order_independence(self, seed):
@@ -321,11 +327,10 @@ class TestPropertyEquivalence:
                     rest.append(ev)
             assert progressed, "no causally consistent order found"
             pending = rest
-        fa = inc_a.freeze(ex)
-        fb = inc_b.freeze(ex)
-        assert fa.past_masks() == fb.past_masks()
+        assert inc_a.relation_counts() == inc_b.relation_counts()
         for ev in ex.all_events():
-            assert fa.vector_clock(ev.eid) == fb.vector_clock(ev.eid)
+            assert inc_a.vector_clock(ev.eid) == inc_b.vector_clock(ev.eid)
+        assert_matches_batch(inc_b, ex)
 
 
 class TestSimulationIntegration:
@@ -343,10 +348,10 @@ class TestSimulationIntegration:
                          online_oracle=True)
         res = sim.run(UniformWorkload(events_per_process=20, p_local=0.3))
         assert res.online_oracle is not None
-        frozen = res.hb_oracle()
-        batch = HappenedBeforeOracle(res.execution)
-        assert frozen.past_masks() == batch.past_masks()
-        assert frozen.event_order == batch.event_order
+        assert_matches_batch(res.online_oracle, res.execution)
+        assert res.hb_oracle().past_masks() == HappenedBeforeOracle(
+            res.execution
+        ).past_masks()
 
     def test_online_oracle_under_crash_faults(self):
         from repro.faults.models import CrashSchedule
@@ -362,10 +367,7 @@ class TestSimulationIntegration:
             online_oracle=True,
         )
         res = sim.run(UniformWorkload(events_per_process=25, p_local=0.2))
-        frozen = res.hb_oracle()
-        batch = HappenedBeforeOracle(res.execution)
-        assert frozen.past_masks() == batch.past_masks()
-        assert frozen.relation_counts() == batch.relation_counts()
+        assert_matches_batch(res.online_oracle, res.execution)
 
     def test_online_oracle_under_loss_faults(self):
         from repro.faults.models import GilbertElliottLoss
@@ -381,9 +383,7 @@ class TestSimulationIntegration:
             online_oracle=True,
         )
         res = sim.run(UniformWorkload(events_per_process=15, p_local=0.2))
-        frozen = res.hb_oracle()
-        batch = HappenedBeforeOracle(res.execution)
-        assert frozen.past_masks() == batch.past_masks()
+        assert_matches_batch(res.online_oracle, res.execution)
 
     def test_off_by_default(self):
         from repro.sim import Simulation, UniformWorkload

@@ -50,7 +50,7 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert rc == 0
         assert "online oracle:" in out
-        assert "appends" in out and "query cache" in out
+        assert "appends" in out and "cut rows" in out
 
     def test_online_oracle_matches_default_validation(self, capsys):
         # identical seed with and without the streaming oracle must print

@@ -16,37 +16,39 @@ Measures, with fixed seeds so runs are comparable:
 - **oracle_incremental** — streaming workload with a query batch every 50
   events: the :class:`~repro.core.incremental.IncrementalHBOracle` answering
   online vs rebuilding the batch oracle from the event prefix at every batch
-  (answers asserted identical), plus append-only throughput and cold/warm
-  query-cache latency.  Written to a separate ``BENCH_PR4.json`` snapshot
-  together with **metrics_overhead** (instrument resolve-per-call vs cached
-  handle on the histogram hot path).
+  (answers asserted identical), plus append-only throughput.  Written to a
+  separate ``BENCH_PR4.json`` snapshot together with **metrics_overhead**
+  (instrument resolve-per-call vs cached handle on the histogram hot
+  path).
 - **kernel_backends** — pure-python vs numpy oracle backend: bulk
   past-matrix build on a dense clique (appends/s = events over build
-  seconds), streaming ``freeze()``, and whole-assignment ``validate`` on a
-  cache-resident star, reports asserted identical.  Written to
+  seconds), ``freeze()`` of a streamed oracle, and whole-assignment
+  ``validate`` on a cache-resident star, reports asserted identical.  Written to
   ``BENCH_PR7.json``; skipped (without failing) when numpy is unavailable.
-- **streaming_append** — per-op vs batched (``batch=True``) vs
-  ``columnar_sync`` (:meth:`IncrementalHBOracle.sync_store` over a
-  pre-built :class:`~repro.core.colstore.EventStore`) appends on the same
-  seeded sparse clique-64 stream as **kernel_backends**, final flush
-  included, frozen snapshots asserted byte-identical across every path.
-  Together with **event_store** (object vs columnar execution build rate
-  and retained bytes per event) it is written to ``BENCH_PR9.json``;
-  ``--min-append-speedup`` turns the batched-vs-per-op factor into a CI
-  gate.
+- **streaming_append** — per-event appends and
+  :meth:`IncrementalHBOracle.sync_store` over a pre-built
+  :class:`~repro.core.colstore.EventStore`, each timed against one
+  pure-backend batch-oracle build over the same seeded sparse clique-64
+  stream as **kernel_backends**, answers asserted identical.  Together
+  with **event_store** (object vs columnar execution build rate and
+  retained bytes per event) it is written to ``BENCH_PR9.json``;
+  ``--min-append-speedup`` turns the slower path's ratio into a CI gate.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_snapshot.py                # full run
     PYTHONPATH=src python tools/bench_snapshot.py --quick \\
         --check BENCH_PR2.json --max-regression 3 \\
-        --min-incremental-speedup 1.0 --min-kernel-speedup 2.0   # CI smoke
+        --min-incremental-speedup 4.0 --min-kernel-speedup 2.0 \\
+        --min-append-speedup 2.0                                 # CI smoke
 
 The default output paths are ``BENCH_PR2.json`` / ``BENCH_PR4.json`` /
 ``BENCH_PR7.json`` in the repo root; ``--check`` compares the kernel section
 against a baseline file and exits non-zero on a regression beyond
 ``--max-regression``, ``--min-incremental-speedup`` fails the run when the
 streaming oracle does not beat rebuild-per-query-batch by the given factor,
+``--min-append-speedup`` fails it when either streaming append path does
+not beat one batch-oracle build over the same stream by the given factor,
 and ``--min-kernel-speedup`` fails it when the numpy kernel backend does not
 beat the pure one by the given factor (skipped when numpy is absent).
 """
@@ -199,11 +201,11 @@ def bench_allocation() -> Dict[str, object]:
 
 
 def _batch_frontier(oracle: HappenedBeforeOracle, seeds) -> list:
-    """Frontier on the batch oracle, word-parallel like the incremental one.
+    """Frontier on the batch oracle, word-parallel over its rows.
 
-    Kept here (not on the oracle) so the rebuild baseline pays the same
-    per-query cost as the streaming path — the benchmark then measures the
-    *rebuild*, not an implementation gap in the query itself.
+    Kept here (not on the oracle) so the rebuild baseline pays only a
+    cheap per-query cost — the benchmark then measures the *rebuild*, not
+    an implementation gap in the query itself.
     """
     masks = oracle.past_masks()
     closure = 0
@@ -270,7 +272,7 @@ def bench_oracle_incremental(quick: bool) -> Dict[str, object]:
                 inc.append_local(ev.eid)
             if nxt is not None and i == nxt[0]:
                 _k, pairs, seeds = nxt
-                answers.append([inc.precedes(e, f) for e, f in pairs])
+                answers.append([inc.happened_before(e, f) for e, f in pairs])
                 answers.append(inc.causal_frontier(seeds))
                 nxt = next(batch_iter, None)
         return answers
@@ -311,18 +313,6 @@ def bench_oracle_incremental(quick: bool) -> Dict[str, object]:
 
     append_s = _best_of(append_only, repeats=3)
 
-    # cold vs warm query-cache latency on a frozen stream: the same batch of
-    # precedes calls, first resolving rows, then served from the LRU
-    inc = IncrementalHBOracle(n, cache_size=8_192).ingest(ex)
-    cold_pairs = [p for _k, pairs, _s in plan for p in pairs]
-    t0 = time.perf_counter()
-    cold_answers = [inc.precedes(e, f) for e, f in cold_pairs]
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm_answers = [inc.precedes(e, f) for e, f in cold_pairs]
-    warm_s = time.perf_counter() - t0
-    assert cold_answers == warm_answers
-
     return {
         "n_events": ex.n_events,
         "query_every": query_every,
@@ -334,9 +324,6 @@ def bench_oracle_incremental(quick: bool) -> Dict[str, object]:
         "speedup_vs_rebuild": round(rebuild_s / inc_s, 2) if inc_s else 0.0,
         "append_only_s": round(append_s, 6),
         "appends_per_s": round(ex.n_events / append_s) if append_s else 0,
-        "query_cold_s": round(cold_s, 6),
-        "query_warm_s": round(warm_s, 6),
-        "warm_speedup": round(cold_s / warm_s, 2) if warm_s else 0.0,
     }
 
 
@@ -497,28 +484,29 @@ def bench_kernel_backends(quick: bool) -> Dict[str, object]:
 
 
 def bench_streaming_append(quick: bool) -> Dict[str, object]:
-    """Per-op vs batched vs store-sync streaming appends into the oracle.
+    """Streaming appends vs one batch-oracle build over the same stream.
 
     Same seeded sparse clique-64 stream as the ``kernel_backends`` bulk
-    build (``BENCH_PR7.json``) — the workload whose per-op/batch gap this
-    PR closes; the committed ``BENCH_PR4.json`` per-op figure (~400k
-    appends/s on a dense star) is the historical baseline the acceptance
-    gate is quoted against.  ``per_op`` and ``batched_*`` stream the
-    historical per-event pipeline — object events in delivery order, one
-    ``append_*`` call each, exactly the BENCH_PR4 baseline shape —
-    while ``columnar_sync`` runs the new pipeline end to end: the same
-    events pre-recorded in a :class:`~repro.core.colstore.EventStore`
-    (the simulator's system of record) handed as whole row ranges to
-    :meth:`~repro.core.incremental.IncrementalHBOracle.sync_store`.  Each
-    contender pays its final ``flush()`` inside the timed region; the
-    frozen pure-backend snapshots are asserted byte-identical first.
+    build (``BENCH_PR7.json``).  Two ways to feed the streaming oracle:
+
+    - ``per_event`` — object events in delivery order, one ``append_*``
+      call each;
+    - ``sync_store`` — the same events pre-recorded in a
+      :class:`~repro.core.colstore.EventStore` (the simulator's columnar
+      record), drained by
+      :meth:`~repro.core.incremental.IncrementalHBOracle.sync_store`.
+
+    Both are timed against ``batch_build``: one
+    ``HappenedBeforeOracle(ex, backend="pure")`` over the completed
+    stream, i.e. what a consumer without the streaming oracle pays once.
+    ``min_speedup_vs_batch`` is the slower path's ratio and is what
+    ``--min-append-speedup`` gates.  Both paths are checked to give the
+    batch oracle's vector clocks and relation counts first.
 
     Like the kernel section, the workload is identical in ``--quick`` and
-    full runs (the stream is cheap to time and batching only amortizes at
-    realistic batch sizes), so a quick CI run gates against the same
-    numbers as the committed full-run baseline.
+    full runs, so a quick CI run gates against the same numbers as the
+    committed full-run baseline.
     """
-    from repro.core.backend import numpy_available
     from repro.core.colstore import EventStore
     from repro.core.random_executions import execution_from_ops, random_ops
 
@@ -533,13 +521,10 @@ def bench_streaming_append(quick: bool) -> Dict[str, object]:
     ex = execution_from_ops(graph, ops)
     store = EventStore.from_execution(ex)
     n_events = store.n_events
-
     order = ex.delivery_order()
 
-    def stream(**kwargs) -> IncrementalHBOracle:
-        # the historical per-event pipeline (same shape as the
-        # BENCH_PR4 baseline): object events streamed one at a time
-        inc = IncrementalHBOracle(n, **kwargs)
+    def per_event() -> IncrementalHBOracle:
+        inc = IncrementalHBOracle(n)
         for ev in order:
             if ev.is_receive:
                 inc.append_receive(ev.eid, ex.send_of(ev).eid)
@@ -547,45 +532,34 @@ def bench_streaming_append(quick: bool) -> Dict[str, object]:
                 inc.append_send(ev.eid)
             else:
                 inc.append_local(ev.eid)
-        inc.flush()
         return inc
 
-    def sync(**kwargs) -> IncrementalHBOracle:
-        inc = IncrementalHBOracle(n, batch=True, **kwargs)
+    def sync() -> IncrementalHBOracle:
+        inc = IncrementalHBOracle(n)
         inc.sync_store(store)
         return inc
 
-    contenders: Dict[str, Callable[[], IncrementalHBOracle]] = {
-        "per_op": stream,
-        "batched_pure": lambda: stream(batch=True, backend="pure"),
-    }
-    if numpy_available():
-        contenders["batched_numpy"] = (
-            lambda: stream(batch=True, backend="numpy")
-        )
-        contenders["columnar_sync"] = lambda: sync(backend="numpy")
-    else:
-        contenders["columnar_sync"] = lambda: sync(backend="pure")
+    def batch_build() -> HappenedBeforeOracle:
+        return HappenedBeforeOracle(ex, backend="pure")
 
-    ref = stream().freeze(ex, backend="pure").past_masks()
-    for name, build in contenders.items():
-        frozen = build().freeze(ex, backend="pure")
-        assert frozen.past_masks() == ref, (
-            f"streaming-append parity break: {name}"
-        )
+    ref = batch_build()
+    ids = ref.event_order
+    for name, build in (("per_event", per_event), ("sync_store", sync)):
+        inc = build()
+        assert inc.relation_counts() == ref.relation_counts(), name
+        assert all(
+            inc.vector_clock(e) == ref.vector_clock(e) for e in ids
+        ), f"streaming-append parity break: {name}"
 
-    out: Dict[str, object] = {
-        "workload": (
-            f"clique n={n}, steps={steps}, p_deliver=0.06, p_local=0.6"
-        ),
-        "n_events": n_events,
-        "pr4_baseline_appends_per_s": 398_168,
-        "paths": {},
+    contenders: Dict[str, Callable[[], object]] = {
+        "per_event": per_event,
+        "sync_store": sync,
+        "batch_build": batch_build,
     }
     # interleave the contenders round-robin so every path samples the
-    # same machine conditions — the speedup gate is a ratio, and timing
-    # the paths back-to-back in blocks lets CPU-frequency / steal drift
-    # land entirely on one side of it
+    # same machine conditions — the gate is a ratio, and timing the paths
+    # back-to-back in blocks lets CPU-frequency / steal drift land
+    # entirely on one side of it
     import gc
 
     timings: Dict[str, float] = {name: float("inf") for name in contenders}
@@ -595,21 +569,25 @@ def bench_streaming_append(quick: bool) -> Dict[str, object]:
             t0 = time.perf_counter()
             build()
             timings[name] = min(timings[name], time.perf_counter() - t0)
+    batch_s = timings["batch_build"]
+    paths: Dict[str, Dict[str, float]] = {}
     for name, secs in timings.items():
-        out["paths"][name] = {  # type: ignore[index]
+        paths[name] = {
             "stream_s": round(secs, 6),
             "appends_per_s": round(n_events / secs) if secs else 0,
         }
-    per_op_s = timings["per_op"]
-    best_name = min(
-        (k for k in timings if k != "per_op"), key=timings.__getitem__
-    )
-    best_s = timings[best_name]
-    speedup = per_op_s / best_s if best_s else float("inf")
-    out["best_batched"] = best_name
-    out["batched_speedup"] = round(speedup, 2)
-    out["identical_snapshots"] = True
-    return out
+        if name != "batch_build":
+            paths[name]["speedup_vs_batch"] = round(batch_s / secs, 2)
+    slowest = max(timings["per_event"], timings["sync_store"])
+    return {
+        "workload": (
+            f"clique n={n}, steps={steps}, p_deliver=0.06, p_local=0.6"
+        ),
+        "n_events": n_events,
+        "paths": paths,
+        "min_speedup_vs_batch": round(batch_s / slowest, 2),
+        "identical_answers": True,
+    }
 
 
 def bench_event_store(quick: bool) -> Dict[str, object]:
@@ -796,8 +774,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(no-op when numpy is unavailable)")
     parser.add_argument("--min-append-speedup", type=float, default=None,
                         metavar="FACTOR",
-                        help="fail unless the best batched append path "
-                             "beats the per-op one by this factor")
+                        help="fail unless both streaming append paths "
+                             "beat one batch-oracle build over the same "
+                             "stream by this factor")
     parser.add_argument("--fabric", type=pathlib.Path, default=None,
                         metavar="DIR",
                         help="cache each timed section in a fabric result "
@@ -855,8 +834,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"snapshot written to {args.pr4_out}")
     speedup = oracle_inc["speedup_vs_rebuild"]
     print(f"incremental oracle speedup vs rebuild: {speedup}x "
-          f"({oracle_inc['appends_per_s']} appends/s, warm-cache query "
-          f"{oracle_inc['warm_speedup']}x over cold)")
+          f"({oracle_inc['appends_per_s']} appends/s)")
 
     print("kernel backends pure vs numpy "
           f"(clique n=64, {1024 if args.quick else 4096} steps)...")
@@ -882,7 +860,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               f"freeze {build['freeze_speedup']}x, "  # type: ignore[index]
               f"validate {val['validate_speedup']}x")  # type: ignore[index]
 
-    print("streaming appends per-op vs batched vs store-sync "
+    print("streaming appends per-event and store-sync vs one batch build "
           "(clique n=64, 4096 steps)...")
     streaming = run_section(
         "streaming_append", lambda: bench_streaming_append(args.quick)
@@ -901,22 +879,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     args.pr9_out.write_text(json.dumps(pr9, indent=2) + "\n")
     print(f"snapshot written to {args.pr9_out}")
-    append_speedup = streaming["batched_speedup"]
-    best = streaming["paths"][streaming["best_batched"]]  # type: ignore[index]
-    print(f"batched appends: {append_speedup}x over per-op "
-          f"({best['appends_per_s']} appends/s via "  # type: ignore[index]
-          f"{streaming['best_batched']}); columnar store "
+    append_speedup = streaming["min_speedup_vs_batch"]
+    paths = streaming["paths"]
+    print(f"streaming appends over one batch build: per-event "
+          f"{paths['per_event']['speedup_vs_batch']}x, sync_store "  # type: ignore[index]
+          f"{paths['sync_store']['speedup_vs_batch']}x; columnar store "
           f"{event_store['columnar']['bytes_per_event']} B/event retained "  # type: ignore[index]
           f"vs object {event_store['object']['bytes_per_event']} B/event")  # type: ignore[index]
 
     rc = 0
     if args.min_append_speedup is not None:
         if append_speedup < args.min_append_speedup:  # type: ignore[operator]
-            print(f"batched appends too slow: {append_speedup}x < required "
-                  f"{args.min_append_speedup}x")
+            print(f"streaming appends too slow: {append_speedup}x < "
+                  f"required {args.min_append_speedup}x")
             rc = 1
         else:
-            print(f"batched-append speedup within bounds "
+            print(f"streaming-append speedup within bounds "
                   f"(>= {args.min_append_speedup}x)")
     if args.min_kernel_speedup is not None:
         if "skipped" in backends:
