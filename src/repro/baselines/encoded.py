@@ -91,3 +91,7 @@ class EncodedClock(ClockAlgorithm):
         """Actual storage cost: the big integer's bit length."""
         assert isinstance(ts, EncodedTimestamp)
         return max(1, ts.bit_length)
+
+    def bits_for_elements(self, n_elements: int, max_events: int) -> None:
+        # one element whose size is its value's bit length
+        return None

@@ -37,7 +37,7 @@ import contextlib
 import random
 import signal
 import sys
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from repro.analysis import (
     compare_sizes,
@@ -90,26 +90,43 @@ def build_topology(name: str, n: int, seed: int) -> CommunicationGraph:
     return table[name]()
 
 
+#: clock constructors by the short name ``--clocks`` takes
+_CLOCK_FACTORIES: Dict[str, Callable[[CommunicationGraph], ClockAlgorithm]] = {
+    "inline": lambda g: CoverInlineClock(g),
+    "inline-star": lambda g: StarInlineClock(g.n_vertices),
+    "vector": lambda g: VectorClock(g.n_vertices),
+    "vector-sk": lambda g: SKVectorClock(g.n_vertices),
+    "lamport": lambda g: LamportClock(g.n_vertices),
+    "encoded": lambda g: EncodedClock(g.n_vertices),
+    "cluster": lambda g: ClusterClock(g.n_vertices),
+    "plausible": lambda g: PlausibleClock(
+        g.n_vertices, max(1, g.n_vertices // 3)
+    ),
+}
+
+#: the short clock names :func:`build_clock` accepts
+CLOCK_NAMES = tuple(_CLOCK_FACTORIES)
+
+
+def unknown_clock_error(names: Sequence[str]) -> Optional[str]:
+    """The error message for the first name not in :data:`CLOCK_NAMES`,
+    or ``None`` when every name is known."""
+    for name in names:
+        if name not in _CLOCK_FACTORIES:
+            return (
+                f"unknown clock {name!r} (choose from {', '.join(CLOCK_NAMES)})"
+            )
+    return None
+
+
 def build_clock(
     name: str, graph: CommunicationGraph
 ) -> ClockAlgorithm:
-    """Construct a clock algorithm by short name."""
-    n = graph.n_vertices
-    table = {
-        "inline": lambda: CoverInlineClock(graph),
-        "inline-star": lambda: StarInlineClock(n),
-        "vector": lambda: VectorClock(n),
-        "vector-sk": lambda: SKVectorClock(n),
-        "lamport": lambda: LamportClock(n),
-        "encoded": lambda: EncodedClock(n),
-        "cluster": lambda: ClusterClock(n),
-        "plausible": lambda: PlausibleClock(n, max(1, n // 3)),
-    }
-    if name not in table:
-        raise ValueError(
-            f"unknown clock {name!r} (choose from {', '.join(table)})"
-        )
-    return table[name]()
+    """Construct a clock algorithm by short name (one of :data:`CLOCK_NAMES`)."""
+    bad = unknown_clock_error([name])
+    if bad is not None:
+        raise ValueError(bad)
+    return _CLOCK_FACTORIES[name](graph)
 
 
 class NamedClockFactory:
@@ -625,6 +642,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import default_scenarios, run_chaos
     from repro.sim.network import RetryPolicy
 
+    bad = unknown_clock_error(args.clocks)
+    if bad is not None:
+        return _error(bad)
     graph = build_topology(args.topology, args.n, args.seed)
     factories = {
         name: NamedClockFactory(name, graph) for name in args.clocks
@@ -967,6 +987,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             except (OSError, ValueError, KeyError) as exc:
                 return _error(f"cannot load trace {path}: {exc}")
     else:
+        bad = unknown_clock_error(args.clocks)
+        if bad is not None:
+            return _error(bad)
         graph = build_topology(args.topology, args.n, args.seed)
         clocks = {name: build_clock(name, graph) for name in args.clocks}
         with use_registry(registry):

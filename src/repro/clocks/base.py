@@ -233,20 +233,35 @@ class ClockAlgorithm(abc.ABC):
     # accounting
     # ------------------------------------------------------------------
     def payload_elements(self, payload: Any) -> int:
-        """Number of scalar elements the payload adds to an app message."""
+        """Number of scalar elements the payload adds to an app message.
+
+        The default walks the payload leaf by leaf; schemes whose payload
+        shapes are fixed override it with a closed form.
+        """
         return _count_elements(payload)
 
     def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
         """Bits to encode *ts* given ≤ *max_events* events per process.
 
-        Default accounting: ``ceil(log2(K+1))`` bits per counter element and
-        ``ceil(log2(n))`` bits for a process-id element; subclasses override
-        when their elements have different domains.
+        Default: :meth:`bits_for_elements` of the timestamp's element count;
+        schemes whose sizes do not follow from that count override this.
         """
-        import math
+        return self.bits_for_elements(ts.n_elements, max_events)
 
-        counter_bits = max(1, math.ceil(math.log2(max_events + 1)))
-        return ts.n_elements * counter_bits
+    def bits_for_elements(
+        self, n_elements: int, max_events: int
+    ) -> Optional[int]:
+        """Bits of any timestamp with *n_elements* elements, or ``None``.
+
+        ``None`` means the scheme's encoded size is not a function of the
+        element count; hosts then call :meth:`timestamp_bits` per timestamp.
+        Default accounting: ``ceil(log2(K+1))`` bits per element, every
+        element a counter; subclasses override when their elements have
+        different domains.
+        """
+        from repro.analysis.size_model import counter_bits
+
+        return n_elements * counter_bits(max_events)
 
 
 def _count_elements(payload: Any) -> int:

@@ -160,6 +160,12 @@ class CoverTimestamp(Timestamp):
             return base
         return base + self.mpost
 
+    @property
+    def n_elements(self) -> int:
+        if self.mpost is None:
+            return 2 + len(self.mpre)
+        return 2 + len(self.mpre) + len(self.mpost)
+
 
 @dataclass(slots=True)
 class _Record:
@@ -243,30 +249,26 @@ class CoverInlineClock(ClockAlgorithm):
 
     # ------------------------------------------------------------------
     def _new_event(self, ev: Event) -> _Record:
-        p = ev.proc
-        self._mctr[p] += 1
-        if ev.index != self._mctr[p]:
+        eid = ev.eid
+        p = eid.proc
+        mctr = self._mctr[p] + 1
+        self._mctr[p] = mctr
+        if eid.index != mctr:
             raise ValueError(
-                f"event index {ev.index} does not match local counter "
-                f"{self._mctr[p]}"
+                f"event index {eid.index} does not match local counter {mctr}"
             )
-        if p in self._cpos:
-            self._mpre[p][self._cpos[p]] = self._mctr[p]
-            rec = _Record(
-                mctr=self._mctr[p], mpre=tuple(self._mpre[p]), mpost=None,
-                final=True,
-            )
-            self._mark_final(ev.eid)
+        mpre = self._mpre[p]
+        slot = self._cpos.get(p)
+        if slot is not None:
+            mpre[slot] = mctr
+            rec = _Record(mctr, tuple(mpre), None, True)
+            self._mark_final(eid)
         else:
-            rec = _Record(
-                mctr=self._mctr[p],
-                mpre=tuple(self._mpre[p]),
-                mpost=[INFINITY] * len(self._cover),
-            )
+            rec = _Record(mctr, tuple(mpre), [INFINITY] * len(self._cover))
             if not self._adjacent_cover[p]:
                 # isolated non-cover process: nothing to wait for
                 rec.final = True
-                self._mark_final(ev.eid)
+                self._mark_final(eid)
         self._records[p].append(rec)
         return rec
 
@@ -342,10 +344,12 @@ class CoverInlineClock(ClockAlgorithm):
         self._upto[(j, slot)] = a
 
     def _is_complete(self, j: ProcessId, rec: _Record) -> bool:
-        assert rec.mpost is not None
-        return all(
-            rec.mpost[slot] != INFINITY for slot in self._adjacent_cover[j]
-        )
+        mpost = rec.mpost
+        assert mpost is not None
+        for slot in self._adjacent_cover[j]:
+            if mpost[slot] == INFINITY:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # queries
@@ -367,28 +371,28 @@ class CoverInlineClock(ClockAlgorithm):
         return self._to_timestamp(eid, self._record_of(eid))
 
     def _to_timestamp(self, eid: EventId, rec: _Record) -> CoverTimestamp:
-        return CoverTimestamp(
-            id=eid.proc,
-            mctr=rec.mctr,
-            mpre=rec.mpre,
-            mpost=None if rec.mpost is None else tuple(rec.mpost),
-            cover=self._cover,
-        )
+        mpost = None if rec.mpost is None else tuple(rec.mpost)
+        return CoverTimestamp(eid.proc, rec.mctr, rec.mpre, mpost, self._cover)
 
     def is_final(self, eid: EventId) -> bool:
         return self._record_of(eid).final
 
     # ------------------------------------------------------------------
-    def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
+    def payload_elements(self, payload: Any) -> int:
+        # application ``(src, mctr, mpre)`` carries the |VC|-tuple ``mpre``;
+        # control ``(seq, a, b)`` is three scalars
+        last = payload[-1]
+        if isinstance(last, (tuple, list)):
+            return len(payload) - 1 + len(last)
+        return len(payload)
+
+    def bits_for_elements(self, n_elements: int, max_events: int) -> int:
         """Theorem 4.3 accounting: ``id`` costs ``ceil(log2 n)`` bits,
         every other stored element ``ceil(log2(K+1))`` bits (∞ entries are
         encoded as 0, which no real receive index uses)."""
-        import math
+        from repro.analysis.size_model import counter_bits, id_bits
 
-        assert isinstance(ts, CoverTimestamp)
-        counter = max(1, math.ceil(math.log2(max_events + 1)))
-        ident = max(1, math.ceil(math.log2(self._n)))
-        return ident + (ts.n_elements - 1) * counter
+        return id_bits(self._n) + (n_elements - 1) * counter_bits(max_events)
 
     # ------------------------------------------------------------------
     def finalize_at_termination(self) -> List[EventId]:

@@ -167,6 +167,10 @@ class StarTimestamp(Timestamp):
             return (self.id, self.ctr)
         return (self.id, self.ctr, self.pre, self.post)  # post never None here
 
+    @property
+    def n_elements(self) -> int:
+        return 2 if self.id == self.center else 4
+
 
 @dataclass(slots=True)
 class _Record:
@@ -226,16 +230,18 @@ class StarInlineClock(ClockAlgorithm):
         return p == self._center
 
     def _new_event(self, ev: Event) -> _Record:
-        p = ev.proc
-        self._ctr[p] += 1
-        if self._is_center(p):
-            rec = _Record(ctr=self._ctr[p], pre=self._ctr[p], final=True)
-            self._mark_final(ev.eid)
+        eid = ev.eid
+        p = eid.proc
+        ctr = self._ctr[p] + 1
+        self._ctr[p] = ctr
+        if p == self._center:
+            rec = _Record(ctr, ctr, INFINITY, True)
+            self._mark_final(eid)
         else:
-            rec = _Record(ctr=self._ctr[p], pre=self._pre[p])
-        if ev.index != rec.ctr:
+            rec = _Record(ctr, self._pre[p])
+        if eid.index != ctr:
             raise ValueError(
-                f"event index {ev.index} does not match local counter {rec.ctr}"
+                f"event index {eid.index} does not match local counter {ctr}"
             )
         self._records[p].append(rec)
         return rec
@@ -275,8 +281,9 @@ class StarInlineClock(ClockAlgorithm):
         return []
 
     def _check_star_event(self, ev: Event) -> None:
-        if ev.peer is not None:
-            if not (self._is_center(ev.proc) or self._is_center(ev.peer)):
+        peer = ev.peer
+        if peer is not None and peer != self._center:
+            if ev.proc != self._center:
                 raise ValueError(
                     f"message between two radial processes "
                     f"(p{ev.proc} and p{ev.peer}) violates the star topology"
@@ -325,10 +332,9 @@ class StarInlineClock(ClockAlgorithm):
         rec = self._record_of(eid)
         if not rec.final:
             return None
-        post = None if self._is_center(eid.proc) else rec.post
-        return StarTimestamp(
-            id=eid.proc, ctr=rec.ctr, pre=rec.pre, post=post, center=self._center
-        )
+        p = eid.proc
+        post = None if p == self._center else rec.post
+        return StarTimestamp(p, rec.ctr, rec.pre, post, self._center)
 
     def provisional_timestamp(self, eid: EventId) -> StarTimestamp:
         """The current (possibly not yet permanent) value — for inspection."""
@@ -348,19 +354,21 @@ class StarInlineClock(ClockAlgorithm):
         return recs[eid.index - 1]
 
     # ------------------------------------------------------------------
-    def timestamp_bits(self, ts: Timestamp, max_events: int) -> int:
+    def payload_elements(self, payload: Any) -> int:
+        # application ``(ctr, pre)`` and control ``(seq, a, b)`` payloads
+        # are flat tuples of scalars
+        return len(payload)
+
+    def bits_for_elements(self, n_elements: int, max_events: int) -> int:
         """Theorem 4.3 accounting for the star (|VC| = 1).
 
         The ``id`` element costs ``ceil(log2 n)`` bits; every other stored
         element costs ``ceil(log2(K+1))`` bits (a ``post`` of ∞ is encoded
         as 0, which no real receive index uses).
         """
-        import math
+        from repro.analysis.size_model import counter_bits, id_bits
 
-        assert isinstance(ts, StarTimestamp)
-        counter = max(1, math.ceil(math.log2(max_events + 1)))
-        ident = max(1, math.ceil(math.log2(self._n)))
-        return ident + (ts.n_elements - 1) * counter
+        return id_bits(self._n) + (n_elements - 1) * counter_bits(max_events)
 
     # ------------------------------------------------------------------
     def finalize_at_termination(self) -> List[EventId]:

@@ -45,6 +45,10 @@ class VectorTimestamp(Timestamp):
     def elements(self) -> Tuple[int, ...]:
         return self.vector
 
+    @property
+    def n_elements(self) -> int:
+        return len(self.vector)
+
     def __getitem__(self, k: int) -> int:
         return self.vector[k]
 
@@ -60,18 +64,21 @@ class VectorClock(ClockAlgorithm):
         self._clock = [[0] * n_processes for _ in range(n_processes)]
         self._ts: Dict[EventId, VectorTimestamp] = {}
 
-    def _record(self, ev: Event) -> None:
-        clock = self._clock[ev.proc]
-        clock[ev.proc] += 1
-        self._ts[ev.eid] = VectorTimestamp(tuple(clock))
-        self._mark_final(ev.eid)
+    def _record(self, ev: Event) -> VectorTimestamp:
+        eid = ev.eid
+        p = eid.proc
+        clock = self._clock[p]
+        clock[p] += 1
+        ts = self._ts[eid] = VectorTimestamp(tuple(clock))
+        self._mark_final(eid)
+        return ts
 
     def on_local(self, ev: Event) -> None:
         self._record(ev)
 
     def on_send(self, ev: Event) -> Any:
-        self._record(ev)
-        return tuple(self._clock[ev.proc])
+        # the payload is the send's own (immutable) vector
+        return self._record(ev).vector
 
     def on_receive(self, ev: Event, payload: Any) -> List[ControlMessage]:
         clock = self._clock[ev.proc]
@@ -83,6 +90,10 @@ class VectorClock(ClockAlgorithm):
 
     def timestamp(self, eid: EventId) -> Optional[VectorTimestamp]:
         return self._ts.get(eid)
+
+    def payload_elements(self, payload: Any) -> int:
+        # the payload is the sender's whole vector
+        return len(payload)
 
     def is_final(self, eid: EventId) -> bool:
         return eid in self._ts

@@ -37,7 +37,9 @@ from __future__ import annotations
 import enum
 import random
 import warnings
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.clocks.base import ClockAlgorithm, ControlMessage
@@ -46,10 +48,11 @@ from repro.core.events import Event, EventId, MessageId, ProcessId
 from repro.core.execution import Execution, ExecutionBuilder
 from repro.core.happened_before import HappenedBeforeOracle
 from repro.core.incremental import IncrementalHBOracle
-from repro.faults.models import DELIVER, FaultModel
+from repro.faults.models import FaultModel
 from repro.obs.metrics import (
     BYTE_BUCKETS,
     VTIME_BUCKETS,
+    Histogram,
     MetricsRegistry,
 )
 from repro.sim.network import (
@@ -62,6 +65,56 @@ from repro.sim.network import (
 from repro.sim.scheduler import EventScheduler
 from repro.sim.workload import Workload
 from repro.topology.graph import CommunicationGraph
+
+
+#: per-event observations a clock buffers before they are folded into its
+#: histograms; bounds the buffers' memory on long runs
+_FOLD_EVERY = 8192
+
+
+class _EventColumns:
+    """One clock's per-event observations, buffered as typed columns.
+
+    The hot loop appends the payload size of every send and, for every
+    finalized event, its delay in events and in virtual time.  :meth:`fold`
+    moves them into the registry's histograms with one
+    :meth:`~repro.obs.metrics.Histogram.observe_many` call each — every
+    ``_FOLD_EVERY`` values and when the run ends — so the exported
+    registry equals a per-value ``observe`` run's, without its per-event
+    instrument calls.
+    """
+
+    __slots__ = (
+        "piggy", "delay_events", "delay_vtime",
+        "_h_piggy_elems", "_h_piggy_bytes", "_h_delay_events", "_h_delay_vtime",
+    )
+
+    def __init__(
+        self,
+        piggy_elems: Histogram,
+        piggy_bytes: Histogram,
+        delay_events: Histogram,
+        delay_vtime: Histogram,
+    ) -> None:
+        self.piggy = array("q")
+        self.delay_events = array("q")
+        self.delay_vtime = array("d")
+        self._h_piggy_elems = piggy_elems
+        self._h_piggy_bytes = piggy_bytes
+        self._h_delay_events = delay_events
+        self._h_delay_vtime = delay_vtime
+
+    def fold(self) -> None:
+        piggy = self.piggy
+        self._h_piggy_elems.observe_many(piggy)
+        # 8-byte integers per scalar element — the same accounting the
+        # Theorem 4.3 bit model coarsens, but per message, live.
+        self._h_piggy_bytes.observe_many([8 * n for n in piggy])
+        self._h_delay_events.observe_many(self.delay_events)
+        self._h_delay_vtime.observe_many(self.delay_vtime)
+        del piggy[:]
+        del self.delay_events[:]
+        del self.delay_vtime[:]
 
 
 class ControlTransport(enum.Enum):
@@ -206,6 +259,8 @@ class Simulation:
         (per-clock finalization-delay histograms, piggyback sizes,
         transport and fault counters); a fresh registry is created when
         omitted.  Either way it is returned as ``SimulationResult.metrics``.
+        The per-event histograms are folded in bulk and are complete once
+        :meth:`run` returns.
     online_oracle:
         Stream every event into an
         :class:`~repro.core.incremental.IncrementalHBOracle` *during* the
@@ -348,9 +403,10 @@ class Simulation:
         self._note_event(ev.eid)
         if self._oracle_feed is not None:
             self._oracle_feed.append_local(ev.eid)
+        drain = self._drain
         for i, algo in enumerate(self._algos):
             algo.on_local(ev)
-            self._drain(i)
+            drain(i)
         return ev
 
     def do_send(self, src: ProcessId, dst: ProcessId) -> Optional[Event]:
@@ -377,25 +433,29 @@ class Simulation:
             )
             dropped = fate.drop
             copies = fate.copies
+        piggybacking = self._transport is ControlTransport.PIGGYBACK
         piggyback: List[Optional[List[ControlMessage]]] = []
+        drain = self._drain
         for i, algo in enumerate(self._algos):
             payload = algo.on_send(ev)
             self._payloads[i][msg_id] = payload
             n_elems = algo.payload_elements(payload)
             self._stats[i].app_payload_elements += n_elems
-            self._h_piggy_elems[i].observe(n_elems)
-            # 8-byte integers per scalar element — the same accounting the
-            # Theorem 4.3 bit model coarsens, but per message, live.
-            self._h_piggy_bytes[i].observe(8 * n_elems)
-            self._drain(i)
-            if self._transport is ControlTransport.PIGGYBACK and not dropped:
-                piggyback.append(self._pending_controls[i].pop((src, dst), None))
-            else:
-                if dropped and self._transport is ControlTransport.PIGGYBACK:
-                    retained = self._pending_controls[i].get((src, dst))
+            cols = self._columns[i]
+            cols.piggy.append(n_elems)
+            if len(cols.piggy) >= _FOLD_EVERY:
+                cols.fold()
+            drain(i)
+            carried = None
+            if piggybacking:
+                pending = self._pending_controls[i]
+                if dropped:
+                    retained = pending.get((src, dst))
                     if retained:
                         self._retained_piggyback += len(retained)
-                piggyback.append(None)
+                else:
+                    carried = pending.pop((src, dst), None)
+            piggyback.append(carried)
         if dropped:
             self._dropped_app += 1
         else:
@@ -412,6 +472,13 @@ class Simulation:
     ) -> None:
         """Schedule *copies* deliveries; the first to arrive at a live
         destination wins, later copies are counted as suppressed duplicates."""
+        if self._fault_model is None:
+            # one copy to a process that never crashes: nothing to guard
+            self._network.transmit(
+                src, dst, partial(self._deliver, msg_id, piggyback),
+                fifo=self._fifo_app,
+            )
+            return
         state = {"delivered": False, "crash_counted": False}
 
         def deliver_copy() -> None:
@@ -473,15 +540,12 @@ class Simulation:
                 (cm.src, cm.dst), []
             ).append(cm)
             return
-        algo = self._algos[algo_idx]
         stats = self._stats[algo_idx]
         stats.control_messages += 1
-        stats.control_elements += algo.payload_elements(cm.payload)
-
-        def deliver_control() -> None:
-            algo.on_control(cm.src, cm.dst, cm.payload)
-            self._drain(algo_idx)
-
+        stats.control_elements += self._algos[algo_idx].payload_elements(
+            cm.payload
+        )
+        deliver_control = partial(self._deliver_control, algo_idx, cm)
         link = self._links[algo_idx]
         if link is not None:
             link.send(cm.src, cm.dst, deliver_control)
@@ -489,6 +553,10 @@ class Simulation:
             self._send_control_datagram(
                 cm.src, cm.dst, deliver_control, "data", dedup_stats=stats
             )
+
+    def _deliver_control(self, algo_idx: int, cm: ControlMessage) -> None:
+        self._algos[algo_idx].on_control(cm.src, cm.dst, cm.payload)
+        self._drain(algo_idx)
 
     def _send_control_datagram(
         self,
@@ -516,11 +584,16 @@ class Simulation:
             if kind == "data":
                 self._dropped_control += 1
             return
-        fate = DELIVER
-        if self._fault_model is not None:
-            fate = self._fault_model.message_fate(
-                src, dst, self.now, self._rng, control=True
+        if self._fault_model is None:
+            # one copy to a process that never crashes: nothing to guard
+            self._network.transmit(
+                src, dst, deliver_cb,
+                fifo=True, delay_model=self._control_delay_model,
             )
+            return
+        fate = self._fault_model.message_fate(
+            src, dst, self.now, self._rng, control=True
+        )
         if fate.drop:
             if kind == "data":
                 self._dropped_control += 1
@@ -549,9 +622,12 @@ class Simulation:
             )
 
     def _note_event_obj(self, eid: EventId) -> None:
-        """Record occurrence time + arrival rank of a new event (object mode)."""
-        self._event_times[eid] = self.now
-        self._event_seq[eid] = self._n_seen
+        """Record occurrence time + arrival rank of a new event (object mode)
+        in per-process columns indexed by the event's index."""
+        p = eid.proc
+        self._occurred[p].append(self._scheduler.now)
+        self._ranks[p].append(self._n_seen)
+        self._arrivals.append(p)
         self._n_seen += 1
 
     def _note_event_col(self, eid: EventId) -> None:
@@ -564,26 +640,33 @@ class Simulation:
         newly = self._algos[algo_idx].drain_newly_finalized()
         if not newly:
             return
-        delay_events = self._h_delay_events[algo_idx]
-        delay_vtime = self._h_delay_vtime[algo_idx]
+        cols = self._columns[algo_idx]
+        delay_events = cols.delay_events
+        delay_vtime = cols.delay_vtime
         final_times = self._finalization_times[algo_idx]
-        n_seen = self._n_seen
-        now = self.now
+        # time-to-non-⊥ measured in events: how many events the run
+        # performed while this event's timestamp was still provisional
+        # (0 = finalized at its own occurrence, the online case)
+        last = self._n_seen - 1
+        now = self._scheduler.now
         store = self._store
         if store is not None:
             for eid in newly:
                 final_times[eid] = now
                 row = store.row_of(eid.proc, eid.index)
-                delay_events.observe(n_seen - 1 - row)
-                delay_vtime.observe(now - store.vtime_at(row))
-            return
-        for eid in newly:
-            final_times[eid] = now
-            # time-to-non-⊥ measured in events: how many events the run
-            # performed while this event's timestamp was still provisional
-            # (0 = finalized at its own occurrence, the online case)
-            delay_events.observe(n_seen - 1 - self._event_seq[eid])
-            delay_vtime.observe(now - self._event_times[eid])
+                delay_events.append(last - row)
+                delay_vtime.append(now - store.vtime_at(row))
+        else:
+            ranks = self._ranks
+            occurred = self._occurred
+            for eid in newly:
+                final_times[eid] = now
+                p = eid.proc
+                i = eid.index - 1
+                delay_events.append(last - ranks[p][i])
+                delay_vtime.append(now - occurred[p][i])
+        if len(delay_events) >= _FOLD_EVERY:
+            cols.fold()
 
     # ------------------------------------------------------------------
     def run(
@@ -630,8 +713,12 @@ class Simulation:
         self._stats: List[AlgorithmStats] = [
             AlgorithmStats() for _ in self._algos
         ]
-        self._event_times: Dict[EventId, float] = {}
-        self._event_seq: Dict[EventId, int] = {}
+        # object mode: occurrence time and arrival rank per process, by
+        # event index - 1, and the process of each event in arrival order
+        n = self._graph.n_vertices
+        self._occurred: List[List[float]] = [[] for _ in range(n)]
+        self._ranks: List[array] = [array("q") for _ in range(n)]
+        self._arrivals = array("i")
         self._n_seen = 0
         self._reg = self._metrics if self._metrics is not None else MetricsRegistry()
         self._oracle = (
@@ -646,34 +733,37 @@ class Simulation:
         if self._oracle is not None and self._store is not None:
             self._oracle.bind_store(self._store)
             self._oracle_feed = None
-        # Per-event instrumentation handles, resolved once: the observe
-        # paths below run for every event × algorithm, and re-resolving an
-        # instrument by name (label formatting + dict lookup) per call is
-        # measurable overhead at that frequency (see the ``metrics_overhead``
-        # section of tools/bench_snapshot.py).
-        self._h_piggy_elems = [
+        # Per-event observations go to typed columns, folded into these
+        # histograms in bulk (see ``_EventColumns``): the hot loop makes no
+        # instrument calls (the ``metrics_overhead`` section of
+        # tools/bench_snapshot.py measures the difference).
+        piggy_elems = [
             self._reg.histogram("clock.piggyback_elements", clock=name)
             for name in self._names
         ]
-        self._h_piggy_bytes = [
+        piggy_bytes = [
             self._reg.histogram(
                 "clock.piggyback_bytes", buckets=BYTE_BUCKETS, clock=name
             )
             for name in self._names
         ]
-        self._h_delay_events = [
+        delay_events = [
             self._reg.histogram(
                 "clock.finalization_delay_events", clock=name
             )
             for name in self._names
         ]
-        self._h_delay_vtime = [
+        delay_vtime = [
             self._reg.histogram(
                 "clock.finalization_delay_vtime",
                 buckets=VTIME_BUCKETS,
                 clock=name,
             )
             for name in self._names
+        ]
+        self._columns = [
+            _EventColumns(*hists)
+            for hists in zip(piggy_elems, piggy_bytes, delay_events, delay_vtime)
         ]
         self._finalization_times: List[Dict[EventId, float]] = [
             dict() for _ in self._algos
@@ -702,7 +792,11 @@ class Simulation:
                     self._scheduler.at(t, self._make_crash_hook())
 
         workload.setup(self)
-        self._scheduler.run(max_time=max_time, max_steps=max_steps)
+        try:
+            self._scheduler.run(max_time=max_time, max_steps=max_steps)
+        finally:
+            for cols in self._columns:
+                cols.fold()
         duration = self._scheduler.now
         if self._oracle is not None:
             # drain a bound store so the oracle.* metrics reflect the
@@ -720,18 +814,19 @@ class Simulation:
             st.control_abandoned += link.stats.abandoned
 
         assignments: Dict[str, TimestampAssignment] = {}
+        eids = [ev.eid for ev in execution.all_events()]
         for i, (name, algo) in enumerate(zip(self._names, self._algos)):
-            finalized_during_run = set(self._finalization_times[i])
             if finalize:
                 algo.finalize_at_termination()
                 algo.drain_newly_finalized()
+            timestamp = algo.timestamp
             ts = {}
-            for ev in execution.all_events():
-                t = algo.timestamp(ev.eid)
+            for eid in eids:
+                t = timestamp(eid)
                 if t is not None:
-                    ts[ev.eid] = t
+                    ts[eid] = t
             assignments[name] = TimestampAssignment(
-                algo, execution, ts, finalized_during_run
+                algo, execution, ts, set(self._finalization_times[i])
             )
 
         self._record_run_metrics(execution, assignments)
@@ -742,7 +837,7 @@ class Simulation:
             event_times=(
                 self._store.event_times()
                 if self._store is not None
-                else self._event_times
+                else self._event_times(execution)
             ),
             assignments=assignments,
             finalization_times={
@@ -763,6 +858,19 @@ class Simulation:
             metrics=self._reg,
             online_oracle=self._oracle,
         )
+
+    def _event_times(self, execution: Execution) -> Dict[EventId, float]:
+        """Occurrence time of every event, keyed in arrival order by the
+        execution's own event ids (object mode)."""
+        events = [execution.events_at(p) for p in range(execution.n_processes)]
+        occurred = self._occurred
+        cursor = [0] * execution.n_processes
+        out: Dict[EventId, float] = {}
+        for p in self._arrivals:
+            i = cursor[p]
+            cursor[p] = i + 1
+            out[events[p][i].eid] = occurred[p][i]
+        return out
 
     def _record_run_metrics(
         self,
@@ -806,7 +914,7 @@ class Simulation:
                     if not up
                 )
             )
-        max_events = max(execution.event_counts(), default=0)
+        max_events = max(1, max(execution.event_counts(), default=0))
         for name, algo, stats in zip(self._names, self._algos, self._stats):
             reg.counter("clock.control_messages", clock=name).inc(
                 stats.control_messages
@@ -826,13 +934,25 @@ class Simulation:
             reg.counter("clock.control_abandoned", clock=name).inc(
                 stats.control_abandoned
             )
-            elements = reg.histogram("clock.timestamp_elements", clock=name)
-            bits = reg.histogram(
-                "clock.timestamp_bits", buckets=None, clock=name
+            sizes = [ts.n_elements for _eid, ts in assignments[name].items()]
+            reg.histogram("clock.timestamp_elements", clock=name).observe_many(
+                sizes
             )
-            for _eid, ts in assignments[name].items():
-                elements.observe(ts.n_elements)
-                bits.observe(algo.timestamp_bits(ts, max(1, max_events)))
+            # bit widths once per distinct size, unless the scheme's sizes
+            # do not follow from the element count
+            widths = {
+                k: algo.bits_for_elements(k, max_events) for k in set(sizes)
+            }
+            if None in widths.values():
+                bits = [
+                    algo.timestamp_bits(ts, max_events)
+                    for _eid, ts in assignments[name].items()
+                ]
+            else:
+                bits = [widths[k] for k in sizes]
+            reg.histogram(
+                "clock.timestamp_bits", buckets=None, clock=name
+            ).observe_many(bits)
 
     def _make_crash_hook(self) -> Callable[[], None]:
         """Checkpoint every attached clock at a crash instant.

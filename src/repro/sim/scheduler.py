@@ -131,17 +131,20 @@ class EventScheduler:
         and virtual time stops at the last executed callback.
         """
         steps = 0
+        heappop = heapq.heappop
+        # ``self._heap`` is re-read every step: a cancel inside a callback
+        # may compact it into a new list
         while self._heap:
             if max_steps is not None and steps >= max_steps:
                 break
             time, _seq, fn, handle = self._heap[0]
-            if handle.cancelled:
-                heapq.heappop(self._heap)
+            if handle._cancelled:
+                heappop(self._heap)
                 self._cancelled_pending -= 1
                 continue
             if max_time is not None and time > max_time:
                 break
-            heapq.heappop(self._heap)
+            heappop(self._heap)
             self._now = time
             # executed entries can no longer be cancelled; flag directly so a
             # late cancel() does not skew the pending-count bookkeeping

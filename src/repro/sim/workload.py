@@ -101,9 +101,16 @@ class UniformWorkload(Workload):
 
     def setup(self, sim: SimHandle) -> None:
         for p in sim.graph.vertices():
-            self._schedule_next(sim, p, self.events_per_process)
+            neighbors = tuple(sorted(sim.graph.neighbors(p)))
+            self._schedule_next(sim, p, self.events_per_process, neighbors)
 
-    def _schedule_next(self, sim: SimHandle, p: ProcessId, budget: int) -> None:
+    def _schedule_next(
+        self,
+        sim: SimHandle,
+        p: ProcessId,
+        budget: int,
+        neighbors: Tuple[ProcessId, ...],
+    ) -> None:
         if budget <= 0:
             return
         if self.jitter_start and budget == self.events_per_process:
@@ -112,12 +119,11 @@ class UniformWorkload(Workload):
             delay = sim.rng.expovariate(self.rate) + 1e-9
 
         def act() -> None:
-            neighbors = sorted(sim.graph.neighbors(p))
             if not neighbors or sim.rng.random() < self.p_local:
                 sim.do_local(p)
             else:
                 sim.do_send(p, sim.rng.choice(neighbors))
-            self._schedule_next(sim, p, budget - 1)
+            self._schedule_next(sim, p, budget - 1, neighbors)
 
         sim.schedule(delay, act)
 

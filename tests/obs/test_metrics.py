@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import parallel_map
 from repro.obs.metrics import (
     BYTE_BUCKETS,
     DEFAULT_BUCKETS,
     METRICS_SCHEMA,
+    VTIME_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -129,6 +133,61 @@ class TestHistogramBuckets:
         h = Histogram(edges=(1,))
         h.observe(99)
         assert h.quantile(1.0) == 99
+
+
+def _exact(h: Histogram):
+    """Every field of *h*, with sum/min/max compared by type and repr."""
+    return (
+        list(h.counts),
+        h.count,
+        *((type(x).__name__, repr(x)) for x in (h.sum, h.min, h.max)),
+    )
+
+
+_VALUES = st.lists(
+    st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.floats(allow_nan=False),
+        st.sampled_from([0, 0.0, -0.0, 1, 1.0, math.inf, -math.inf]),
+    ),
+    max_size=60,
+)
+
+
+class TestObserveMany:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        before=_VALUES,
+        values=_VALUES,
+        cuts=st.lists(st.integers(0, 60), max_size=3),
+        edges=st.sampled_from([DEFAULT_BUCKETS, BYTE_BUCKETS, (-1.5, 0, 2.5)]),
+    )
+    def test_fold_equals_per_value_observe(self, before, values, cuts, edges):
+        one, bulk = Histogram(edges), Histogram(edges)
+        for v in before:
+            one.observe(v)
+            bulk.observe(v)
+        for v in values:
+            one.observe(v)
+        # the fold may come in chunks, from a list or any iterable
+        bounds = [0, *sorted(c for c in cuts if c <= len(values)), len(values)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            bulk.observe_many(iter(values[lo:hi]) if lo % 2 else values[lo:hi])
+        assert _exact(bulk) == _exact(one)
+
+    def test_empty_fold_changes_nothing(self):
+        h = Histogram()
+        h.observe_many([])
+        assert _exact(h) == _exact(Histogram())
+        assert h.min is None and h.max is None
+
+    def test_typed_columns(self):
+        one, bulk = Histogram(VTIME_BUCKETS), Histogram(VTIME_BUCKETS)
+        values = [0.25, 3.0, 0.1 + 0.2, 7.5, 0.25]
+        for v in values:
+            one.observe(v)
+        bulk.observe_many(array("d", values))
+        assert _exact(bulk) == _exact(one)
 
 
 class TestRegistry:

@@ -49,6 +49,17 @@ class TestUniformWorkload:
             str(e) for e in r2.execution.all_events()
         ]
 
+    def test_neighbours_sorted_once_per_process(self, monkeypatch):
+        g = generators.star(5)
+        asked = []
+        neighbors = g.neighbors
+        monkeypatch.setattr(
+            g, "neighbors", lambda p: asked.append(p) or neighbors(p)
+        )
+        res = Simulation(g, seed=3).run(UniformWorkload(events_per_process=6))
+        assert len(res.execution.messages) > 0
+        assert sorted(asked) == list(range(5))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             UniformWorkload(events_per_process=-1)

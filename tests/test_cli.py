@@ -36,6 +36,9 @@ class TestSimulate:
         for argv in (
             ["simulate", "--n", "4", "--events", "3", "--clocks", name],
             ["validate", trace, "--clocks", "vector", name],
+            ["chaos", "--quick", "--n", "4", "--events", "3",
+             "--clocks", "vector", name],
+            ["metrics", "--n", "4", "--events", "3", "--clocks", name],
         ):
             assert main(argv) == 1
             err = capsys.readouterr().err

@@ -18,8 +18,8 @@ Measures, with fixed seeds so runs are comparable:
   online vs rebuilding the batch oracle from the event prefix at every batch
   (answers asserted identical), plus append-only throughput.  Written to a
   separate ``BENCH_PR4.json`` snapshot together with **metrics_overhead**
-  (instrument resolve-per-call vs cached handle on the histogram hot
-  path).
+  (instrument resolve-per-call vs cached handle vs a typed column folded
+  with one ``observe_many`` call, on the histogram hot path).
 - **kernel_backends** — pure-python vs numpy oracle backend: bulk
   past-matrix build on a dense clique (appends/s = events over build
   seconds), ``freeze()`` of a streamed oracle, and whole-assignment
@@ -328,12 +328,18 @@ def bench_oracle_incremental(quick: bool) -> Dict[str, object]:
 
 
 def bench_metrics_overhead() -> Dict[str, object]:
-    """Histogram hot path: resolve instrument per call vs cached handle.
+    """Histogram hot path: resolve per call, cached handle, bulk fold.
 
-    This quantifies the simulator's per-event instrumentation rewrite
-    (handles resolved once per run in ``Simulation.run``).
+    The same 100k observations three ways: the instrument resolved by name
+    per call, one cached handle with ``observe`` per value, and the values
+    appended to a typed column and folded with one ``observe_many`` call —
+    how ``Simulation.run`` records its per-event histograms (append and
+    fold timed apart; ``fold_speedup`` is per-value ``observe`` over their
+    sum).  The fold's histogram is asserted identical to the per-value one.
     """
-    from repro.obs.metrics import MetricsRegistry
+    from array import array
+
+    from repro.obs.metrics import Histogram, MetricsRegistry
 
     n_obs = 100_000
     vals = [float(i % 37) for i in range(n_obs)]
@@ -348,13 +354,37 @@ def bench_metrics_overhead() -> Dict[str, object]:
         for v in vals:
             h.observe(v)
 
+    def buffer_column() -> None:
+        append = array("d").append
+        for v in vals:
+            append(v)
+
+    column = array("d", vals)
+
+    def bulk_fold() -> None:
+        reg.histogram("bench.folded", clock="vector").observe_many(column)
+
     resolve_s = _best_of(resolve_per_call)
     cached_s = _best_of(cached_handle)
+    append_s = _best_of(buffer_column)
+    fold_s = _best_of(bulk_fold)
+    one, folded = Histogram(), Histogram()
+    for v in vals:
+        one.observe(v)
+    folded.observe_many(array("d", vals))
+    assert (one.counts, one.sum, one.min, one.max) == (
+        folded.counts, folded.sum, folded.min, folded.max
+    ), "bulk fold diverged from per-value observe"
     return {
         "observations": n_obs,
         "resolve_per_call_s": round(resolve_s, 6),
         "cached_handle_s": round(cached_s, 6),
         "speedup": round(resolve_s / cached_s, 2) if cached_s else 0.0,
+        "column_append_s": round(append_s, 6),
+        "bulk_fold_s": round(fold_s, 6),
+        "fold_speedup": (
+            round(cached_s / (append_s + fold_s), 2) if append_s + fold_s else 0.0
+        ),
     }
 
 
@@ -820,7 +850,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     oracle_inc = run_section(
         "oracle_incremental", lambda: bench_oracle_incremental(args.quick)
     )
-    print("metrics hot path (resolve-per-call vs cached handle)...")
+    print("metrics hot path (resolve-per-call vs cached handle vs bulk fold)...")
     pr4: Dict[str, object] = {
         "schema": "bench_pr4/v1",
         "mode": "quick" if args.quick else "full",
